@@ -110,5 +110,5 @@ int main() {
     desis::bench::PrintRow(std::to_string(slice_size) + " ev/slice", cells);
   }
   desis::bench::WriteMetricsSidecar("bench_fig10");
-  return 0;
+  return desis::bench::LatencyExitStatus();
 }

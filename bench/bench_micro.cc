@@ -259,6 +259,35 @@ std::vector<Query> ShardedThroughputQueries() {
   return queries;
 }
 
+// ROADMAP item 2's predicated-lane workload, serial engine, batch 256 over
+// 1024 keys, in three steps that are prefixes of ShardedThroughputQueries():
+// the 8 match-all queries (0), plus 4 variance/stddev queries (1), plus 8
+// KeyEquals and 2 ValueRange lanes (2). Step 2 against step 0 is the price
+// of predicated lanes on the batch path.
+void BM_IngestPredicated(benchmark::State& state) {
+  constexpr size_t kBatch = 256;
+  constexpr size_t kStepQueries[] = {8, 12, 22};
+  std::vector<Query> queries = ShardedThroughputQueries();
+  queries.resize(kStepQueries[state.range(0)]);
+  DataGeneratorConfig cfg;
+  cfg.num_keys = 1024;
+  const std::vector<Event> events = DataGenerator(cfg).Take(1 << 17);
+  for (auto _ : state) {
+    state.PauseTiming();
+    DesisEngine engine;
+    (void)engine.Configure(queries);
+    state.ResumeTiming();
+    for (size_t i = 0; i < events.size(); i += kBatch) {
+      engine.IngestBatch(events.data() + i,
+                         std::min(kBatch, events.size() - i));
+    }
+    benchmark::DoNotOptimize(engine.stats().operator_executions);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(events.size()));
+}
+BENCHMARK(BM_IngestPredicated)->Arg(0)->Arg(1)->Arg(2);
+
 /// Accumulated timings per shard count, folded into the metrics sidecar
 /// after the benchmark loop finishes (see WriteShardedSidecar below).
 /// timed_ns/events accumulate over iterations (their ratio is the rate);

@@ -3,10 +3,12 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <ctime>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -296,11 +298,30 @@ inline ThroughputResult MeasureThroughput(StreamEngine& engine,
 /// CeBuffer iterates the whole window buffer (§6.2.1). The event-time
 /// latency of the paper additionally contains the window wait, which is
 /// engine-independent; this isolates the engine-dependent part.
+/// With no timed fire, avg_us and max_us are NaN (printed as n/a), never 0.
 struct LatencyResult {
-  double avg_us = 0;
-  double max_us = 0;
+  double avg_us = std::numeric_limits<double>::quiet_NaN();
+  double max_us = std::numeric_limits<double>::quiet_NaN();
   uint64_t samples = 0;
 };
+
+/// MeasureFireLatency calls that timed no fire in this process.
+inline uint64_t& EmptyLatencyMeasurements() {
+  static uint64_t count = 0;
+  return count;
+}
+
+/// Exit status for a bench that prints fire latencies: non-zero when some
+/// measurement timed no fire, so its n/a cell fails the run.
+inline int LatencyExitStatus() {
+  const uint64_t empty = EmptyLatencyMeasurements();
+  if (empty == 0) return 0;
+  std::fprintf(stderr,
+               "%llu fire-latency measurement(s) timed no window fire "
+               "(printed as n/a)\n",
+               static_cast<unsigned long long>(empty));
+  return 1;
+}
 
 inline LatencyResult MeasureFireLatency(StreamEngine& engine,
                                         const std::vector<Event>& events) {
@@ -308,6 +329,7 @@ inline LatencyResult MeasureFireLatency(StreamEngine& engine,
   uint64_t fired = 0;
   engine.set_sink([&](const WindowResult&) { ++fired; });
   double total_us = 0;
+  double max_us = 0;
   uint64_t warmup = 0;
   for (const Event& e : events) {
     const uint64_t before = fired;
@@ -321,11 +343,16 @@ inline LatencyResult MeasureFireLatency(StreamEngine& engine,
       }
       const double us = static_cast<double>(dt) / 1000.0;
       total_us += us;
-      if (us > out.max_us) out.max_us = us;
+      max_us = std::max(max_us, us);
       ++out.samples;
     }
   }
-  if (out.samples > 0) out.avg_us = total_us / static_cast<double>(out.samples);
+  if (out.samples == 0) {
+    ++EmptyLatencyMeasurements();
+    return out;
+  }
+  out.avg_us = total_us / static_cast<double>(out.samples);
+  out.max_us = max_us;
   return out;
 }
 
@@ -471,7 +498,9 @@ inline void PrintRow(const std::string& label,
                      const std::vector<double>& cells) {
   std::printf("%-16s", label.c_str());
   for (double v : cells) {
-    if (v < 0) {
+    if (std::isnan(v)) {
+      std::printf(" %14s", "n/a");
+    } else if (v < 0) {
       std::printf(" %14s", "-");
     } else if (v >= 1e6) {
       std::printf(" %13.2fM", v / 1e6);

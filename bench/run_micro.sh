@@ -2,11 +2,16 @@
 # Runs the microbenchmark suite and records the results as JSON.
 #
 # Usage: bench/run_micro.sh [build-dir] [output-json] [sharded-sidecar-json]
+#                           [before-build-dir]
 #
 # Defaults to ./build, ./BENCH_micro.json and ./BENCH_micro_sharded.json
 # (repo root). The first JSON is the native google-benchmark format; the
 # batched-ingest acceptance numbers live in the BM_IngestPerEvent /
-# BM_IngestBatch/* entries (items_per_second). The sharded sidecar carries
+# BM_IngestBatch/* entries (items_per_second), the predicated-lane numbers
+# in BM_IngestPredicated/{0,1,2}. Given a before-build-dir (an earlier
+# commit built with this bench_micro.cc), its BM_IngestPredicated run lands
+# in the same JSON under "before", so a before/after pair comes from one
+# machine and one session. The sharded sidecar carries
 # the BM_IngestSharded shard sweep (events/sec, speedup and scaling
 # efficiency vs 1 shard, deterministic engine counters); its headline
 # numbers are appended to BENCH_history.jsonl when desis_inspect is built.
@@ -24,6 +29,7 @@ repo_root="$(cd "$(dirname "$0")/.." && pwd)"
 build_dir="${1:-$repo_root/build}"
 out_json="${2:-$repo_root/BENCH_micro.json}"
 sharded_json="${3:-$repo_root/BENCH_micro_sharded.json}"
+before_dir="${4:-}"
 bin="$build_dir/bench/bench_micro"
 
 if [[ ! -x "$bin" ]]; then
@@ -39,6 +45,29 @@ DESIS_METRICS_OUT="$sharded_json" "$bin" \
   --benchmark_min_time=0.2
 
 echo "Wrote $out_json"
+
+if [[ -n "$before_dir" ]]; then
+  before_json="$(mktemp)"
+  trap 'rm -f "$before_json"' EXIT
+  "$before_dir/bench/bench_micro" \
+    --benchmark_filter='BM_IngestPredicated' \
+    --benchmark_out="$before_json" \
+    --benchmark_out_format=json \
+    --benchmark_min_time=0.2 >/dev/null
+  python3 - "$out_json" "$before_json" <<'EOF'
+import json
+import sys
+
+out_path, before_path = sys.argv[1], sys.argv[2]
+with open(out_path) as f:
+    doc = json.load(f)
+with open(before_path) as f:
+    doc["before"] = json.load(f)
+with open(out_path, "w") as f:
+    json.dump(doc, f, indent=2)
+EOF
+  echo "Recorded the before-build's BM_IngestPredicated in $out_json"
+fi
 
 inspect="$build_dir/tools/desis_inspect"
 if [[ -x "$inspect" && -s "$sharded_json" ]]; then

@@ -1,8 +1,10 @@
 #include "core/operators.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cmath>
+#include <utility>
 
 namespace desis {
 
@@ -200,33 +202,72 @@ int PartialAggregate::Add(double v) {
   return executed;
 }
 
+namespace {
+
+// The decomposable states one fused loop may touch.
+struct FusedStates {
+  SumState& sum;
+  SumSquaresState& sum_squares;
+  MultiplyState& multiply;
+  MinMaxState& minmax;
+};
+
+// One pass over the run for the states selected at compile time. Every
+// accumulator keeps its own chain in value order, the same operations
+// Add() performs per value, so the bits match.
+template <bool kSum, bool kSumSq, bool kMul, bool kMinMax>
+void FoldFused(const double* v, size_t n, FusedStates st) {
+  double sum = st.sum.sum;
+  double sum_sq = st.sum_squares.sum_sq;
+  double product = st.multiply.product;
+  double lo = st.minmax.min;
+  double hi = st.minmax.max;
+  for (size_t i = 0; i < n; ++i) {
+    const double x = v[i];
+    if constexpr (kSum) sum += x;
+    if constexpr (kSumSq) sum_sq += x * x;
+    if constexpr (kMul) product *= x;
+    if constexpr (kMinMax) {
+      lo = x < lo ? x : lo;
+      hi = x > hi ? x : hi;
+    }
+  }
+  st.sum.sum = sum;
+  st.sum_squares.sum_sq = sum_sq;
+  st.multiply.product = product;
+  st.minmax.min = lo;
+  st.minmax.max = hi;
+}
+
+using FusedFold = void (*)(const double*, size_t, FusedStates);
+
+// Indexed by bit 0 = sum, 1 = sum of squares, 2 = product, 3 = min/max.
+template <size_t... I>
+constexpr std::array<FusedFold, sizeof...(I)> MakeFusedFolds(
+    std::index_sequence<I...>) {
+  return {&FoldFused<(I & 1) != 0, (I & 2) != 0, (I & 4) != 0,
+                     (I & 8) != 0>...};
+}
+constexpr auto kFusedFolds = MakeFusedFolds(std::make_index_sequence<16>{});
+
+}  // namespace
+
 uint64_t PartialAggregate::AddN(const double* values, size_t n) {
-  uint64_t executed = 0;
-  if (MaskHas(mask_, OperatorKind::kSum)) {
-    sum_.AddN(values, n);
-    executed += n;
+  const size_t fused =
+      (MaskHas(mask_, OperatorKind::kSum) ? 1u : 0u) |
+      (MaskHas(mask_, OperatorKind::kSumSquares) ? 2u : 0u) |
+      (MaskHas(mask_, OperatorKind::kMultiply) ? 4u : 0u) |
+      (MaskHas(mask_, OperatorKind::kDecomposableSort) ? 8u : 0u);
+  if (fused != 0) {
+    kFusedFolds[fused](values, n,
+                       {sum_, sum_squares_, multiply_, minmax_});
   }
-  if (MaskHas(mask_, OperatorKind::kCount)) {
-    count_.AddN(values, n);
-    executed += n;
-  }
-  if (MaskHas(mask_, OperatorKind::kMultiply)) {
-    multiply_.AddN(values, n);
-    executed += n;
-  }
-  if (MaskHas(mask_, OperatorKind::kDecomposableSort)) {
-    minmax_.AddN(values, n);
-    executed += n;
-  }
+  if (MaskHas(mask_, OperatorKind::kCount)) count_.AddN(values, n);
   if (MaskHas(mask_, OperatorKind::kNonDecomposableSort)) {
     sorted_.AddN(values, n);
-    executed += n;
   }
-  if (MaskHas(mask_, OperatorKind::kSumSquares)) {
-    sum_squares_.AddN(values, n);
-    executed += n;
-  }
-  return executed;
+  constexpr OperatorMask kKnown = (1u << kNumOperatorKinds) - 1;
+  return static_cast<uint64_t>(OperatorCount(mask_ & kKnown)) * n;
 }
 
 void PartialAggregate::Seal() {

@@ -13,17 +13,14 @@
 
 namespace desis {
 
-// The AddN bulk folds below iterate values in order, so batched ingestion
-// produces bit-identical state to per-event Add calls; the tight loops over
-// a contiguous double array are what the compiler can unroll/vectorize.
+// PartialAggregate::AddN folds a run of values through the decomposable
+// states below in one fused loop; each state keeps its own sequential
+// chain, so batched ingestion is bit-identical to per-event Add calls.
 
 /// Running sum of event values.
 struct SumState {
   double sum = 0.0;
   void Add(double v) { sum += v; }
-  void AddN(const double* v, size_t n) {
-    for (size_t i = 0; i < n; ++i) sum += v[i];
-  }
   void Merge(const SumState& other) { sum += other.sum; }
 };
 
@@ -41,9 +38,6 @@ struct CountState {
 struct SumSquaresState {
   double sum_sq = 0.0;
   void Add(double v) { sum_sq += v * v; }
-  void AddN(const double* v, size_t n) {
-    for (size_t i = 0; i < n; ++i) sum_sq += v[i] * v[i];
-  }
   void Merge(const SumSquaresState& other) { sum_sq += other.sum_sq; }
 };
 
@@ -51,9 +45,6 @@ struct SumSquaresState {
 struct MultiplyState {
   double product = 1.0;
   void Add(double v) { product *= v; }
-  void AddN(const double* v, size_t n) {
-    for (size_t i = 0; i < n; ++i) product *= v[i];
-  }
   void Merge(const MultiplyState& other) { product *= other.product; }
 };
 
@@ -66,12 +57,6 @@ struct MinMaxState {
   void Add(double v) {
     if (v < min) min = v;
     if (v > max) max = v;
-  }
-  void AddN(const double* v, size_t n) {
-    for (size_t i = 0; i < n; ++i) {
-      min = v[i] < min ? v[i] : min;
-      max = v[i] > max ? v[i] : max;
-    }
   }
   void Merge(const MinMaxState& other) {
     if (other.min < min) min = other.min;
@@ -190,10 +175,10 @@ class PartialAggregate {
   int Add(double v);
 
   /// Folds `n` event values into every active operator, equivalent to (and
-  /// bit-identical with) calling Add() per value: the per-operator mask is
-  /// checked once per run instead of once per event, and each operator folds
-  /// the whole run in one tight loop. Returns the number of operator
-  /// executions performed.
+  /// bit-identical with) calling Add() per value. The mask picks one fused
+  /// loop over sum, sum of squares, product and min/max per call; count
+  /// and the sort buffer take the whole run at once. Returns the number of
+  /// operator executions performed.
   uint64_t AddN(const double* values, size_t n);
 
   /// Finishes per-slice work (sorts the non-decomposable buffer).

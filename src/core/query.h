@@ -21,6 +21,14 @@ enum class PredicateRelation : uint8_t {
   kOverlapping,
 };
 
+/// The value-range test of every selection path: v in [lo, hi). Written as
+/// `!(v < lo || v >= hi)` with a non-short-circuit `|`, so it compiles
+/// without branches and a NaN value matches, since neither comparison
+/// holds for it.
+inline bool InValueRange(double v, double lo, double hi) {
+  return !((v < lo) | (v >= hi));
+}
+
 /// A selection predicate over event key and value, e.g.
 /// `WHERE key == 3 AND value > 80`. Empty constraints match everything.
 struct Predicate {
@@ -55,7 +63,7 @@ struct Predicate {
 
   bool Matches(const Event& e) const {
     if (has_key && e.key != key) return false;
-    if (has_range && (e.value < value_lo || e.value >= value_hi)) return false;
+    if (has_range && !InValueRange(e.value, value_lo, value_hi)) return false;
     return true;
   }
 

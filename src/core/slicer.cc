@@ -108,12 +108,72 @@ StreamSlicer::StreamSlicer(QueryGroup group, SlicerOptions options,
   lane_total_events_.assign(group_.lanes.size(), 0);
   if (any_dedup_) dedup_sets_.resize(group_.lanes.size());
 
+  RebuildBatchPlan();
+}
+
+void StreamSlicer::RebuildBatchPlan() {
   // Run-splitting is safe only when every boundary is a precomputable time
   // punctuation and folding is insensitive to intra-run duplicates: session,
   // user-defined, and count-measure specs move their boundaries with the
   // events that match, and dedup lanes mutate per-event state.
   batch_fast_path_ = !any_dedup_ && session_lanes_.empty() &&
                      ud_specs_.empty() && count_specs_.empty();
+  plan_.Build(group_.lanes);
+  lane_cursor_.assign(group_.lanes.size(), 0);
+  lane_last_hit_.assign(group_.lanes.size(), 0);
+}
+
+void StreamSlicer::SelectionPlan::Build(
+    const std::vector<SelectionLane>& lanes) {
+  all_lanes.clear();
+  range_lanes.clear();
+  key_lanes.clear();
+  key_slots.clear();
+  max_chain = 0;
+  size_t keyed = 0;
+  for (const SelectionLane& l : lanes) keyed += l.predicate.has_key ? 1 : 0;
+  if (keyed > 0) {
+    // Load factor at most 1/16: most events select no key lane, and a
+    // sparse table ends such a miss at its first, empty slot, a branch the
+    // CPU predicts.
+    size_t size = 64;
+    key_shift = 58;
+    while (size < 16 * keyed) {
+      size *= 2;
+      --key_shift;
+    }
+    key_slots.assign(size, KeySlot{});
+  }
+  for (uint32_t lane = 0; lane < lanes.size(); ++lane) {
+    const Predicate& p = lanes[lane].predicate;
+    if (!p.has_key) {
+      if (p.has_range) {
+        range_lanes.push_back({lane, p.value_lo, p.value_hi});
+      } else {
+        all_lanes.push_back(lane);
+      }
+      continue;
+    }
+    const auto entry = static_cast<int32_t>(key_lanes.size());
+    key_lanes.push_back({lane, p.has_range, p.value_lo, p.value_hi, -1});
+    size_t i = Slot(p.key, key_shift);
+    while (key_slots[i].head >= 0 && key_slots[i].key != p.key) {
+      i = (i + 1) & (key_slots.size() - 1);
+    }
+    size_t chain = 1;
+    if (key_slots[i].head < 0) {
+      key_slots[i] = {p.key, entry};
+    } else {
+      // Append at the tail, so a chain lists its lanes in lane order.
+      auto c = static_cast<size_t>(key_slots[i].head);
+      for (; key_lanes[c].next >= 0; ++chain) {
+        c = static_cast<size_t>(key_lanes[c].next);
+      }
+      key_lanes[c].next = entry;
+      ++chain;
+    }
+    max_chain = std::max(max_chain, chain);
+  }
 }
 
 StreamSlicer::~StreamSlicer() {
@@ -566,8 +626,7 @@ void StreamSlicer::ApplyQueryAdd(const Query& q, uint32_t lane,
   }
   specs_[si].query_idxs.push_back(qi);
 
-  batch_fast_path_ = !any_dedup_ && session_lanes_.empty() &&
-                     ud_specs_.empty() && count_specs_.empty();
+  RebuildBatchPlan();
 
   // Re-register metrics: the mask/lane/spec shape may have changed.
   if (registry_ != nullptr) set_metrics(registry_);
@@ -1242,44 +1301,127 @@ Timestamp StreamSlicer::NextBoundaryTs() const {
   return best;
 }
 
+void StreamSlicer::FoldLane(uint32_t lane, const double* values, size_t m,
+                            Timestamp last_ts) {
+  PartialAggregate& agg = current_lanes_[lane];
+  // Run-length growth hint: one reservation per run instead of
+  // reallocation churn as AddN feeds the sort buffer value by value.
+  agg.ReserveHint(m);
+  stats_->operator_executions += agg.AddN(values, m);
+  current_lane_events_[lane] += m;
+  current_slice_events_ += m;
+  lane_total_events_[lane] += m;
+  current_lane_last_ts_[lane] = last_ts;
+  // ts order is non-decreasing, so the last matching event over all lanes
+  // is the per-event path's "last event that matched any lane".
+  current_last_event_ = std::max(current_last_event_, last_ts);
+  if (gov_ != nullptr) UpdateLaneCharge(lane);
+}
+
 void StreamSlicer::FoldRun(const Event* run, size_t n) {
-  for (uint32_t lane = 0; lane < group_.lanes.size(); ++lane) {
-    stats_->selection_evals += n;
-    const Predicate& pred = group_.lanes[lane].predicate;
-    run_values_scratch_.clear();
-    Timestamp lane_last = kNoTimestamp;
-    if (!pred.has_key && !pred.has_range) {
-      // Match-all lane: plain gather, no branches.
-      run_values_scratch_.reserve(n);
-      for (size_t k = 0; k < n; ++k) {
-        run_values_scratch_.push_back(run[k].value);
-      }
-      lane_last = run[n - 1].ts;
-    } else {
-      for (size_t k = 0; k < n; ++k) {
-        if (!pred.Matches(run[k])) continue;
-        run_values_scratch_.push_back(run[k].value);
-        lane_last = run[k].ts;
-      }
-    }
-    if (run_values_scratch_.empty()) continue;
-    const size_t matched = run_values_scratch_.size();
-    // Run-length growth hint: one reservation per run instead of
-    // reallocation churn as AddN feeds the sort buffer value by value.
-    current_lanes_[lane].ReserveHint(matched);
-    stats_->operator_executions +=
-        current_lanes_[lane].AddN(run_values_scratch_.data(), matched);
-    current_lane_events_[lane] += matched;
-    current_slice_events_ += matched;
-    lane_total_events_[lane] += matched;
-    current_lane_last_ts_[lane] = lane_last;
-    // ts order is non-decreasing, so the last matching event over all lanes
-    // is the per-event path's "last event that matched any lane".
-    current_last_event_ = std::max(current_last_event_, lane_last);
-    if (gov_ != nullptr) UpdateLaneCharge(lane);
+  stats_->selection_evals += n * group_.lanes.size();
+  if (!plan_.all_lanes.empty() || !plan_.range_lanes.empty()) {
+    run_values_.resize(n);
+    for (size_t k = 0; k < n; ++k) run_values_[k] = run[k].value;
   }
+  for (uint32_t lane : plan_.all_lanes) {
+    FoldLane(lane, run_values_.data(), n, run[n - 1].ts);
+  }
+  if (!plan_.range_lanes.empty()) lane_values_.resize(n);
+  for (const SelectionPlan::RangeLane& r : plan_.range_lanes) {
+    // Branchless compaction: every value is written, only matches advance.
+    double* out = lane_values_.data();
+    size_t m = 0;
+    for (size_t k = 0; k < n; ++k) {
+      out[m] = run_values_[k];
+      m += static_cast<size_t>(InValueRange(run_values_[k], r.lo, r.hi));
+    }
+    if (m == 0) continue;
+    size_t last = n - 1;  // the lane's last match, for its last_ts
+    while (!InValueRange(run_values_[last], r.lo, r.hi)) --last;
+    FoldLane(r.lane, out, m, run[last].ts);
+  }
+  if (!plan_.key_lanes.empty()) FoldKeyLanes(run, n);
   if (gov_ != nullptr) gov_->Relieve();
 }
+
+void StreamSlicer::FoldKeyLanes(const Event* run, size_t n) {
+  // The table sits in locals, so the hit stores below cannot force a
+  // reload of it; a miss (most events) costs one multiply and one load.
+  const SelectionPlan::KeySlot* slots = plan_.key_slots.data();
+  const SelectionPlan::KeyLane* chain = plan_.key_lanes.data();
+  const size_t mask = plan_.key_slots.size() - 1;
+  const int shift = plan_.key_shift;
+  if (key_hits_.size() < n * plan_.max_chain) {
+    key_hits_.resize(n * plan_.max_chain);
+  }
+  KeyHit* hits = key_hits_.data();
+  size_t num_hits = 0;
+  for (size_t k = 0; k < n; ++k) {
+    const uint32_t key = run[k].key;
+    size_t i = SelectionPlan::Slot(key, shift);
+    while (slots[i].head >= 0 && slots[i].key != key) i = (i + 1) & mask;
+    for (int32_t c = slots[i].head; c >= 0;) {
+      const SelectionPlan::KeyLane& kl = chain[static_cast<size_t>(c)];
+      if (!kl.has_range || InValueRange(run[k].value, kl.lo, kl.hi)) {
+        hits[num_hits++] = {kl.lane, static_cast<uint32_t>(k)};
+      }
+      c = kl.next;
+    }
+  }
+  if (num_hits == 0) return;
+  // Counting sort by lane: count, turn counts into start offsets, place.
+  touched_lanes_.clear();
+  for (size_t x = 0; x < num_hits; ++x) {
+    if (lane_cursor_[hits[x].lane]++ == 0) {
+      touched_lanes_.push_back(hits[x].lane);
+    }
+  }
+  uint32_t offset = 0;
+  for (uint32_t lane : touched_lanes_) {
+    const uint32_t count = lane_cursor_[lane];
+    lane_cursor_[lane] = offset;
+    offset += count;
+  }
+  lane_values_.resize(num_hits);
+  for (size_t x = 0; x < num_hits; ++x) {
+    const KeyHit& h = hits[x];
+    lane_values_[lane_cursor_[h.lane]++] = run[h.index].value;
+    lane_last_hit_[h.lane] = h.index;
+  }
+  // Each cursor now sits at its lane's end, the next lane's start.
+  uint32_t begin = 0;
+  for (uint32_t lane : touched_lanes_) {
+    const uint32_t end = lane_cursor_[lane];
+    FoldLane(lane, lane_values_.data() + begin, end - begin,
+             run[lane_last_hit_[lane]].ts);
+    lane_cursor_[lane] = 0;
+    begin = end;
+  }
+}
+
+namespace {
+
+// First index in (i, count) whose ts reaches `limit`, or `count`; requires
+// events[i].ts < limit. Gallops forward in doubling steps, then binary
+// searches the bracketed span, so a run of r events costs O(log r) probes.
+size_t RunEnd(const Event* events, size_t i, size_t count, Timestamp limit) {
+  size_t lo = i + 1;  // everything before lo is below the limit
+  size_t hi = lo;
+  size_t step = 1;
+  while (hi < count && events[hi].ts < limit) {
+    lo = hi + 1;
+    hi = lo + step;
+    step *= 2;
+  }
+  hi = std::min(hi, count);
+  const Event* end = std::partition_point(
+      events + lo, events + hi,
+      [limit](const Event& e) { return e.ts < limit; });
+  return static_cast<size_t>(end - events);
+}
+
+}  // namespace
 
 void StreamSlicer::IngestBatch(const Event* events, size_t count) {
   if (count == 0) return;
@@ -1296,9 +1438,7 @@ void StreamSlicer::IngestBatch(const Event* events, size_t count) {
     // Fire everything due at or before the run head; afterwards the next
     // punctuation is strictly later, so the run is never empty.
     ProcessBoundariesUpTo(events[i].ts);
-    const Timestamp limit = NextBoundaryTs();
-    size_t j = i + 1;
-    while (j < count && events[j].ts < limit) ++j;
+    const size_t j = RunEnd(events, i, count, NextBoundaryTs());
     FoldRun(events + i, j - i);
     i = j;
   }

@@ -148,9 +148,10 @@ class StreamSlicer : public mem::SpillClient {
   /// Ingest() per event. Groups whose boundaries are all precomputable time
   /// punctuations (no session, user-defined, or count-measure specs) and
   /// that have no dedup lanes take a run-based fast path: the batch is split
-  /// into maximal runs that fall strictly inside the current slice, and each
-  /// run is folded with one predicate sweep and one bulk AddN per lane.
-  /// Everything else falls back to the per-event path automatically.
+  /// into maximal runs that fall strictly inside the current slice, each
+  /// run's end found by a galloping search on ts, and each run is folded by
+  /// FoldRun. Everything else falls back to the per-event path
+  /// automatically.
   void IngestBatch(const Event* events, size_t count);
 
   /// Advances event time, firing punctuations at or before `watermark`.
@@ -254,6 +255,47 @@ class StreamSlicer : public mem::SpillClient {
     std::vector<uint64_t> lane_events;
   };
 
+  /// How the batch path selects each lane's events from a run. Lanes split
+  /// by predicate shape: match-all lanes, range-only lanes, and key lanes,
+  /// which sit in an open-addressing key -> lane-chain table. A chain lists
+  /// every lane on that key in lane order, each with its residual range
+  /// (KeyAndRange lanes), so lanes sharing a key cost one lookup.
+  struct SelectionPlan {
+    struct RangeLane {
+      uint32_t lane;
+      double lo;
+      double hi;
+    };
+    struct KeyLane {
+      uint32_t lane;
+      bool has_range;
+      double lo;
+      double hi;
+      int32_t next;  // next chain entry on the same key, -1 at the end
+    };
+    struct KeySlot {
+      uint32_t key = 0;
+      int32_t head = -1;  // first chain entry, -1 for an empty slot
+    };
+
+    std::vector<uint32_t> all_lanes;
+    std::vector<RangeLane> range_lanes;
+    std::vector<KeyLane> key_lanes;
+    std::vector<KeySlot> key_slots;  // power-of-two size; empty: no keys
+    int key_shift = 0;               // 64 - log2(key_slots.size())
+    size_t max_chain = 0;            // most lanes on one key
+
+    void Build(const std::vector<SelectionLane>& lanes);
+    /// Home slot of `key` (Fibonacci hashing), where its probe starts.
+    static size_t Slot(uint32_t key, int shift) {
+      return static_cast<size_t>((key * 0x9E3779B97F4A7C15ull) >> shift);
+    }
+  };
+  struct KeyHit {
+    uint32_t lane;
+    uint32_t index;  // position in the run
+  };
+
   void Initialize(Timestamp first_ts);
   void ScheduleInitial(uint32_t spec_idx, Timestamp first_ts,
                        uint64_t first_slice_id = 0);
@@ -277,8 +319,21 @@ class StreamSlicer : public mem::SpillClient {
   // on the batch fast path, where no session deadlines exist.
   Timestamp NextBoundaryTs() const;
   // Folds a run of events known to fall strictly before the next
-  // punctuation: one predicate sweep and one bulk AddN per lane.
+  // punctuation through the selection plan: the match-all lanes share one
+  // value column, each range lane compacts it branchlessly, and one pass
+  // over the run scatters the key lanes' values. Every lane that matched
+  // then makes one AddN, in event order. selection_evals still counts
+  // lanes x events, the per-event path's predicate evaluations.
   void FoldRun(const Event* run, size_t n);
+  // FoldRun's key-lane pass: table lookups, then a counting sort of the
+  // hits by lane so each lane folds its values in event order.
+  void FoldKeyLanes(const Event* run, size_t n);
+  // Folds `m` selected values into `lane`; `last_ts` is the timestamp of
+  // the last of them.
+  void FoldLane(uint32_t lane, const double* values, size_t m,
+                Timestamp last_ts);
+  // Recomputes batch_fast_path_ and rebuilds plan_ from the current lanes.
+  void RebuildBatchPlan();
   void ProcessEp(uint32_t spec_idx, Timestamp ts);
   void ProcessSp(uint32_t spec_idx, Timestamp ts);
   void ProcessSessionEnd(uint32_t spec_idx, Timestamp deadline);
@@ -381,6 +436,7 @@ class StreamSlicer : public mem::SpillClient {
   // True when every spec is a fixed-size time window and no lane dedups:
   // batch ingestion may then split runs at precomputed punctuations.
   bool batch_fast_path_ = false;
+  SelectionPlan plan_;
 
   // Sealed slices retained for assembly; front().id is the base id.
   std::deque<SliceRecord> records_;
@@ -401,7 +457,15 @@ class StreamSlicer : public mem::SpillClient {
   std::vector<uint8_t> spec_rank_;      // plan DAG depth per spec
   std::vector<bool> spec_is_feeder_;    // spec feeds at least one dependent
   std::vector<uint32_t> matched_lanes_scratch_;
-  std::vector<double> run_values_scratch_;
+  // FoldRun scratch: the run's value column, the selected values of the
+  // lane being folded (or of all key lanes, grouped by lane), the key
+  // lanes' hits, and per-lane counters for the key hits' counting sort.
+  std::vector<double> run_values_;
+  std::vector<double> lane_values_;
+  std::vector<KeyHit> key_hits_;
+  std::vector<uint32_t> touched_lanes_;
+  std::vector<uint32_t> lane_cursor_;
+  std::vector<uint32_t> lane_last_hit_;
 
   // --- Memory governance state ------------------------------------------
   mem::MemoryGovernor* gov_ = nullptr;

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "common/serde.h"
 #include "core/aggregation.h"
@@ -139,6 +142,56 @@ TEST(PartialAggregate, AddReturnsExecutedOperatorCount) {
       MaskOf(OperatorKind::kDecomposableSort) |
       MaskOf(OperatorKind::kNonDecomposableSort));
   EXPECT_EQ(all.Add(2.0), 5);
+}
+
+// AddN's fused loop must leave every operator state bit-identical to
+// per-value Add, for each of the 16 subsets of {sum, sum of squares,
+// product, min/max}, with count and the sort buffer alongside or not.
+// The values carry NaN, both zeros, both infinities and negatives, and the
+// run is folded in uneven pieces so each chain also resumes across calls.
+TEST(PartialAggregate, FusedAddNBitIdenticalToAdd) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<double> values = {
+      1.5,  -2.25, 0.0,  -0.0, 3.0,   nan,  -7.5, inf,  0.1,  -inf, 2.0,
+      -0.0, 1e300, 1e-300, -3.0, 0.3, 5.0,  nan,  -1.0, 0.0,  4.75, -inf};
+  const OperatorKind kFusable[] = {
+      OperatorKind::kSum, OperatorKind::kSumSquares, OperatorKind::kMultiply,
+      OperatorKind::kDecomposableSort};
+  const size_t kPieces[] = {1, 4, 7, 10};  // cut points for the AddN calls
+  auto bytes = [](PartialAggregate agg) {
+    agg.Seal();
+    ByteWriter out;
+    agg.SerializeTo(out);
+    return out.bytes();
+  };
+  for (unsigned subset = 0; subset < 16; ++subset) {
+    for (unsigned extra = 0; extra < 4; ++extra) {
+      OperatorMask mask = 0;
+      for (unsigned b = 0; b < 4; ++b) {
+        if ((subset >> b) & 1u) mask |= MaskOf(kFusable[b]);
+      }
+      if ((extra & 1u) != 0) mask |= MaskOf(OperatorKind::kCount);
+      if ((extra & 2u) != 0) mask |= MaskOf(OperatorKind::kNonDecomposableSort);
+      SCOPED_TRACE("mask=" + std::to_string(mask));
+
+      PartialAggregate one_by_one(mask);
+      uint64_t add_execs = 0;
+      for (double v : values) add_execs += static_cast<uint64_t>(one_by_one.Add(v));
+
+      PartialAggregate bulk(mask);
+      uint64_t bulk_execs = 0;
+      size_t begin = 0;
+      for (size_t cut : kPieces) {
+        bulk_execs += bulk.AddN(values.data() + begin, cut - begin);
+        begin = cut;
+      }
+      bulk_execs += bulk.AddN(values.data() + begin, values.size() - begin);
+
+      EXPECT_EQ(add_execs, bulk_execs);
+      EXPECT_EQ(bytes(one_by_one), bytes(bulk));
+    }
+  }
 }
 
 TEST(PartialAggregate, FinalizeEveryFunctionFromSharedState) {
