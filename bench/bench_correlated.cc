@@ -154,7 +154,6 @@ CorrelatedRun RunCorrelated(const std::vector<Query>& queries, bool optimize,
   }
 
   Sidecar::Instance().NoteTransport(cluster.transport()->name());
-  Sidecar::Instance().NoteEngineShards(options.engine_shards);
   char label[96];
   std::snprintf(label, sizeof(label), "%s queries=%zu events=%zu",
                 optimize ? "optimized" : "static", queries.size(),

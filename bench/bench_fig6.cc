@@ -83,18 +83,6 @@ void Fig6c() {
                                  TumblingWindows(10, AggregationFunction::kSum),
                                  Scaled(100'000));
   PrintRow("Desis", {result.pipeline_events_per_sec});
-
-  // Same deployment with 2-shard local engines: results are identical by
-  // construction (tests/test_sharded_engine.cc), so the sidecar's stable
-  // counters let the CI gate catch the sharded path drifting from the
-  // serial one.
-  ClusterOptions sharded;
-  sharded.engine_shards = 2;
-  auto sharded_result = RunDecentralized(
-      ClusterSystem::kDesis, {4, 2, 1},
-      TumblingWindows(10, AggregationFunction::kSum), Scaled(100'000), 10, 10,
-      100 * kMillisecond, 0.0, sharded);
-  PrintRow("Desis shards=2", {sharded_result.pipeline_events_per_sec});
 }
 
 }  // namespace

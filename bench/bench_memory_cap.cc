@@ -161,7 +161,6 @@ RunOutcome RunGoverned(const std::string& label, uint64_t budget_bytes,
   std::string report_json = report;
   report_json += "\"engine\":" + EngineStatsJson(engine.stats());
   report_json += ",\"obs\":{\"metrics\":" + registry.ToJson() + "}}";
-  Sidecar::Instance().NoteEngineShards(0);
   Sidecar::Instance().RecordRun(label, report_json, tracer.ToJson());
   return out;
 }

@@ -126,7 +126,6 @@ SweepOutcome RunCell(const std::string& label, uint32_t num_keys,
   }
 #endif
   Sidecar::Instance().NoteTransport(cluster.transport()->name());
-  Sidecar::Instance().NoteEngineShards(options.engine_shards);
   Sidecar::Instance().RecordRun(label, cluster.StatsReport(), tracer.ToJson());
   return out;
 }

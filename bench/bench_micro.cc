@@ -1,18 +1,15 @@
 // Microbenchmarks (google-benchmark) for the engine's primitives: operator
-// folds, partial merges, serialization, slicing, query-group formation,
-// and the key-sharded engine's ingest scaling.
+// folds, partial merges, serialization, slicing, batched ingest and
+// query-group formation.
 
 #include <benchmark/benchmark.h>
 
 #include <chrono>
-#include <map>
-#include <memory>
 
 #include "common/serde.h"
 #include "core/engine.h"
 #include "core/operators.h"
 #include "core/query_analyzer.h"
-#include "core/sharded_engine.h"
 #include "gen/data_generator.h"
 #include "harness.h"
 
@@ -221,12 +218,11 @@ void BM_IngestBatchRecorded(benchmark::State& state) {
 }
 BENCHMARK(BM_IngestBatchRecorded);
 
-// Shard-scaling workload: the fixed-window mix of ThroughputQueries() plus
-// variance/stddev queries (three operator folds per event) and selection
-// lanes (per-key and value-range predicates evaluated on every event), so
-// the per-event slicing cost dominates the ring handoff and the shard
-// sweep measures real scaling rather than queue overhead.
-std::vector<Query> ShardedThroughputQueries() {
+// Predicated-lane workload: the fixed-window mix of ThroughputQueries()
+// plus variance/stddev queries (three operator folds per event) and
+// selection lanes (per-key and value-range predicates evaluated on every
+// event).
+std::vector<Query> PredicatedQueries() {
   std::vector<Query> queries = ThroughputQueries();
   QueryId id = static_cast<QueryId>(queries.size() + 1);
   for (int i = 0; i < 4; ++i) {
@@ -260,14 +256,14 @@ std::vector<Query> ShardedThroughputQueries() {
 }
 
 // ROADMAP item 2's predicated-lane workload, serial engine, batch 256 over
-// 1024 keys, in three steps that are prefixes of ShardedThroughputQueries():
+// 1024 keys, in three steps that are prefixes of PredicatedQueries():
 // the 8 match-all queries (0), plus 4 variance/stddev queries (1), plus 8
 // KeyEquals and 2 ValueRange lanes (2). Step 2 against step 0 is the price
 // of predicated lanes on the batch path.
 void BM_IngestPredicated(benchmark::State& state) {
   constexpr size_t kBatch = 256;
   constexpr size_t kStepQueries[] = {8, 12, 22};
-  std::vector<Query> queries = ShardedThroughputQueries();
+  std::vector<Query> queries = PredicatedQueries();
   queries.resize(kStepQueries[state.range(0)]);
   DataGeneratorConfig cfg;
   cfg.num_keys = 1024;
@@ -287,102 +283,6 @@ void BM_IngestPredicated(benchmark::State& state) {
                           static_cast<int64_t>(events.size()));
 }
 BENCHMARK(BM_IngestPredicated)->Arg(0)->Arg(1)->Arg(2);
-
-/// Accumulated timings per shard count, folded into the metrics sidecar
-/// after the benchmark loop finishes (see WriteShardedSidecar below).
-/// timed_ns/events accumulate over iterations (their ratio is the rate);
-/// stream_events and stats describe one pass over the fixed stream, so
-/// they are deterministic and safe for the CI gate to diff.
-struct ShardedRunSample {
-  int64_t timed_ns = 0;
-  int64_t events = 0;
-  int64_t stream_events = 0;
-  EngineStats stats;
-};
-
-std::map<int, ShardedRunSample>& ShardedRunSamples() {
-  static std::map<int, ShardedRunSample> samples;
-  return samples;
-}
-
-// Batch-256 ingest through the key-sharded engine, shard-count sweep. The
-// engine (and its thread pool) is constructed and torn down outside the
-// timed region; Finish() — the final merge barrier — is timed, as the
-// merge cost is part of the sharded design's per-stream price.
-void BM_IngestSharded(benchmark::State& state) {
-  constexpr size_t kBatch = 256;
-  const int shards = static_cast<int>(state.range(0));
-  DataGeneratorConfig cfg;
-  cfg.num_keys = 1024;  // spread keys so the shard hash partitions evenly
-  const std::vector<Event> events = DataGenerator(cfg).Take(1 << 17);
-  const std::vector<Query> queries = ShardedThroughputQueries();
-  ShardedRunSample& sample = ShardedRunSamples()[shards];
-  for (auto _ : state) {
-    state.PauseTiming();
-    ShardedEngineOptions opts;
-    opts.shards = shards;
-    auto engine = std::make_unique<ShardedEngine>(opts);
-    (void)engine->Configure(queries);
-    state.ResumeTiming();
-    const auto t0 = std::chrono::steady_clock::now();
-    for (size_t i = 0; i < events.size(); i += kBatch) {
-      engine->IngestBatch(events.data() + i,
-                          std::min(kBatch, events.size() - i));
-    }
-    engine->Finish();
-    benchmark::DoNotOptimize(engine->stats().operator_executions);
-    const auto t1 = std::chrono::steady_clock::now();
-    sample.timed_ns +=
-        std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count();
-    sample.events += static_cast<int64_t>(events.size());
-    state.PauseTiming();
-    sample.stream_events = static_cast<int64_t>(events.size());
-    sample.stats = engine->stats();
-    engine.reset();  // joins the shard threads outside the timed region
-    state.ResumeTiming();
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(events.size()));
-}
-// Real time, not CPU time: the work happens on the shard threads, so the
-// driving thread's CPU clock would overstate throughput.
-BENCHMARK(BM_IngestSharded)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
-
-/// Writes the sharded-scaling sidecar (bench_micro_sharded_metrics.json or
-/// $DESIS_METRICS_OUT): per shard count, events/sec plus the speedup and
-/// scaling efficiency against the 1-shard run, and the engine's
-/// deterministic counters — the stable metrics the CI regression gate
-/// diffs against bench/baselines/micro_sharded_baseline.json.
-void WriteShardedSidecar() {
-  const auto& samples = ShardedRunSamples();
-  if (samples.empty()) return;  // BM_IngestSharded filtered out
-  double base_eps = 0;
-  const auto base = samples.find(1);
-  if (base != samples.end() && base->second.timed_ns > 0) {
-    base_eps = static_cast<double>(base->second.events) * 1e9 /
-               static_cast<double>(base->second.timed_ns);
-  }
-  for (const auto& [shards, sample] : samples) {
-    if (sample.timed_ns <= 0) continue;
-    const double eps = static_cast<double>(sample.events) * 1e9 /
-                       static_cast<double>(sample.timed_ns);
-    const double speedup = base_eps > 0 ? eps / base_eps : 0;
-    bench::Sidecar::Instance().NoteEngineShards(shards);
-    char label[64];
-    std::snprintf(label, sizeof(label), "DesisSharded shards=%d", shards);
-    char head[256];
-    std::snprintf(head, sizeof(head),
-                  "{\"system\":\"DesisSharded\",\"engine_shards\":%d,"
-                  "\"batch\":256,\"events\":%lld,\"events_per_sec\":%g,"
-                  "\"speedup_vs_1shard\":%g,\"scaling_efficiency\":%g,"
-                  "\"stats\":",
-                  shards, static_cast<long long>(sample.stream_events), eps,
-                  speedup, speedup / static_cast<double>(shards));
-    bench::Sidecar::Instance().RecordRun(
-        label, head + bench::EngineStatsJson(sample.stats) + "}", "[]");
-  }
-  bench::WriteMetricsSidecar("bench_micro_sharded");
-}
 
 /// Folds the recorder on/off probe pair into the sidecar and self-checks
 /// the overhead band: recorder-on throughput within 25% of recorder-off
@@ -446,14 +346,16 @@ BENCHMARK(BM_QueryAnalyzer)->Arg(100)->Arg(10000);
 }  // namespace
 }  // namespace desis
 
-// BENCHMARK_MAIN plus the sharded-scaling sidecar: the sidecar needs the
-// accumulated per-shard timings, which only exist after the run loop.
+// BENCHMARK_MAIN plus the recorder-overhead sidecar: the sidecar needs the
+// accumulated probe timings, which only exist after the run loop.
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   const bool overhead_violated = desis::RecordRecorderOverhead();
-  desis::WriteShardedSidecar();
+  if (desis::bench::Sidecar::Instance().num_runs() > 0) {
+    desis::bench::WriteMetricsSidecar("bench_micro");
+  }
   return overhead_violated ? 1 : 0;
 }

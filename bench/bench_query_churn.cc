@@ -161,7 +161,6 @@ ChurnPoint RunChurn(size_t resident, size_t churn_ops, size_t events_per_local) 
   }
 
   Sidecar::Instance().NoteTransport(cluster.transport()->name());
-  Sidecar::Instance().NoteEngineShards(options.engine_shards);
   char label[96];
   std::snprintf(label, sizeof(label), "churn resident=%zu ops=%zu events=%zu",
                 resident, churn_ops, fed);

@@ -78,7 +78,6 @@ ChaosOutcome RunSchedule(const std::string& label,
     out.latency_p95_us = hist->Quantile(0.95);
   }
   Sidecar::Instance().NoteTransport(cluster.transport()->name());
-  Sidecar::Instance().NoteEngineShards(options.engine_shards);
   Sidecar::Instance().RecordRun(label, cluster.StatsReport(), tracer.ToJson());
   return out;
 }

@@ -3,7 +3,8 @@
 // threaded runs one ingest thread per local node against the bounded-mailbox
 // workers, which is the deployment the paper's edge clusters correspond to.
 // Writes one JSON document (embedding Cluster::StatsReport() per run) to
-// BENCH_transport.json, or --out=PATH.
+// BENCH_transport.json, or --out=PATH, and records the same reports in the
+// bench_transport metrics sidecar.
 //
 // Flags: --events-per-local=N (default 200k, scaled by DESIS_BENCH_SCALE),
 //        --out=PATH.
@@ -171,12 +172,16 @@ int Main(int argc, char** argv) {
     PrintRow(tc.label, {inline_run.events_per_sec, threaded_run.events_per_sec,
                         inline_run.wall_ms, threaded_run.wall_ms});
     for (const auto* run : {&inline_run, &threaded_run}) {
+      const char* transport = (run == &inline_run) ? "inline" : "threaded";
+      Sidecar::Instance().NoteTransport(transport);
+      Sidecar::Instance().RecordRun(
+          std::string(tc.label) + " " + transport, run->stats_json, "[]");
       if (!first) json += ",";
       first = false;
       json += "{\"topology\":\"";
       json += tc.label;
       json += "\",\"transport\":\"";
-      json += (run == &inline_run) ? "inline" : "threaded";
+      json += transport;
       char buf[160];
       std::snprintf(buf, sizeof(buf),
                     "\",\"wall_ms\":%.3f,\"events_per_sec\":%.1f,"

@@ -92,7 +92,6 @@ WatchdogOutcome RunSchedule(const std::string& label,
         cluster.DumpFlightRecorders(dir != nullptr ? dir : ".", "on_demand");
   }
   Sidecar::Instance().NoteTransport(cluster.transport()->name());
-  Sidecar::Instance().NoteEngineShards(options.engine_shards);
   Sidecar::Instance().NoteWatchdog(watchdog);
   Sidecar::Instance().RecordRun(label, cluster.StatsReport(), tracer.ToJson());
   return out;

@@ -6,7 +6,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <ctime>
 #include <limits>
 #include <memory>
@@ -102,22 +101,10 @@ class Sidecar {
     transports_.push_back(name);
   }
 
-  /// Remembers an engine-shard count used by some run (0 = the serial seed
-  /// path). The distinct counts end up in the meta header next to the
-  /// hardware thread count, so desis-inspect refuses to diff sidecars that
-  /// ran with different parallelism configurations.
-  void NoteEngineShards(int shards) {
-    for (int have : engine_shards_) {
-      if (have == shards) return;
-    }
-    engine_shards_.push_back(shards);
-    std::sort(engine_shards_.begin(), engine_shards_.end());
-  }
-
   /// Remembers the health-watchdog configuration the runs used. A live
   /// watchdog thread samples alongside the workload, so desis-inspect
   /// refuses to diff a watchdog-on sidecar against a watchdog-off baseline
-  /// (same contract as NoteEngineShards). Call once per bench main; any
+  /// (same contract as NoteTransport). Call once per bench main; any
   /// run with it enabled marks the whole sidecar.
   void NoteWatchdog(const obs::WatchdogOptions& watchdog) {
     watchdog_enabled_ = watchdog_enabled_ || watchdog.enabled;
@@ -156,10 +143,6 @@ class Sidecar {
     out += ",\"transports\":[";
     for (size_t i = 0; i < transports_.size(); ++i) {
       out += (i == 0 ? "\"" : ",\"") + obs::JsonEscape(transports_[i]) + "\"";
-    }
-    out += "],\"engine_shards\":[";
-    for (size_t i = 0; i < engine_shards_.size(); ++i) {
-      out += (i == 0 ? "" : ",") + std::to_string(engine_shards_[i]);
     }
     out += "],\"hw_threads\":";
     out += std::to_string(std::thread::hardware_concurrency());
@@ -230,7 +213,6 @@ class Sidecar {
  private:
   std::vector<std::string> entries_;
   std::vector<std::string> transports_;
-  std::vector<int> engine_shards_;
   bool watchdog_noted_ = false;
   bool watchdog_enabled_ = false;
   obs::WatchdogOptions watchdog_;
@@ -434,21 +416,12 @@ inline DecentralizedResult RunDecentralized(
   cluster.Drain();
 
   Sidecar::Instance().NoteTransport(cluster.transport()->name());
-  Sidecar::Instance().NoteEngineShards(cluster_options.engine_shards);
   char label[160];
   std::snprintf(label, sizeof(label),
                 "%s locals=%d ints=%d layers=%d queries=%zu events=%zu",
                 ToString(system).c_str(), topology.num_locals,
                 topology.num_intermediates, topology.intermediate_layers,
                 queries.size(), events_per_local);
-  if (cluster_options.engine_shards > 0) {
-    char shards[24];
-    std::snprintf(shards, sizeof(shards), " shards=%d",
-                  cluster_options.engine_shards);
-    if (std::strlen(label) + std::strlen(shards) < sizeof(label)) {
-      std::strcat(label, shards);
-    }
-  }
   // Post-Drain: the transport is quiescent, so the full span payloads are
   // safe to export alongside the registry snapshot in StatsReport().
   Sidecar::Instance().RecordRun(label, cluster.StatsReport(), tracer.ToJson());

@@ -1,20 +1,18 @@
 #!/usr/bin/env bash
 # Runs the microbenchmark suite and records the results as JSON.
 #
-# Usage: bench/run_micro.sh [build-dir] [output-json] [sharded-sidecar-json]
-#                           [before-build-dir]
+# Usage: bench/run_micro.sh [build-dir] [output-json] [before-build-dir]
 #
-# Defaults to ./build, ./BENCH_micro.json and ./BENCH_micro_sharded.json
-# (repo root). The first JSON is the native google-benchmark format; the
-# batched-ingest acceptance numbers live in the BM_IngestPerEvent /
-# BM_IngestBatch/* entries (items_per_second), the predicated-lane numbers
-# in BM_IngestPredicated/{0,1,2}. Given a before-build-dir (an earlier
+# Defaults to ./build and ./BENCH_micro.json (repo root). The JSON is the
+# native google-benchmark format; the batched-ingest acceptance numbers
+# live in the BM_IngestPerEvent / BM_IngestBatch/* entries
+# (items_per_second), the predicated-lane numbers in
+# BM_IngestPredicated/{0,1,2}. Given a before-build-dir (an earlier
 # commit built with this bench_micro.cc), its BM_IngestPredicated run lands
 # in the same JSON under "before", so a before/after pair comes from one
-# machine and one session. The sharded sidecar carries
-# the BM_IngestSharded shard sweep (events/sec, speedup and scaling
-# efficiency vs 1 shard, deterministic engine counters); its headline
-# numbers are appended to BENCH_history.jsonl when desis_inspect is built.
+# machine and one session. The metrics sidecar carries the flight-recorder
+# overhead probe; its numbers are appended to BENCH_history.jsonl when
+# desis_inspect is built.
 #
 # The optimizer suites ride along: bench_correlated (10k-query factor
 # rewriting, sidecar BENCH_correlated.json) and bench_query_churn (runtime
@@ -28,8 +26,7 @@ set -euo pipefail
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
 build_dir="${1:-$repo_root/build}"
 out_json="${2:-$repo_root/BENCH_micro.json}"
-sharded_json="${3:-$repo_root/BENCH_micro_sharded.json}"
-before_dir="${4:-}"
+before_dir="${3:-}"
 bin="$build_dir/bench/bench_micro"
 
 if [[ ! -x "$bin" ]]; then
@@ -38,7 +35,9 @@ if [[ ! -x "$bin" ]]; then
   exit 1
 fi
 
-DESIS_METRICS_OUT="$sharded_json" "$bin" \
+sidecar_json="$(mktemp)"
+trap 'rm -f "$sidecar_json"' EXIT
+DESIS_METRICS_OUT="$sidecar_json" "$bin" \
   --benchmark_format=json \
   --benchmark_out="$out_json" \
   --benchmark_out_format=json \
@@ -48,7 +47,7 @@ echo "Wrote $out_json"
 
 if [[ -n "$before_dir" ]]; then
   before_json="$(mktemp)"
-  trap 'rm -f "$before_json"' EXIT
+  trap 'rm -f "$sidecar_json" "$before_json"' EXIT
   "$before_dir/bench/bench_micro" \
     --benchmark_filter='BM_IngestPredicated' \
     --benchmark_out="$before_json" \
@@ -70,9 +69,9 @@ EOF
 fi
 
 inspect="$build_dir/tools/desis_inspect"
-if [[ -x "$inspect" && -s "$sharded_json" ]]; then
-  "$inspect" summary "$sharded_json"
-  "$inspect" history "$sharded_json" --append="$repo_root/BENCH_history.jsonl"
+if [[ -x "$inspect" && -s "$sidecar_json" ]]; then
+  "$inspect" summary "$sidecar_json"
+  "$inspect" history "$sidecar_json" --append="$repo_root/BENCH_history.jsonl"
 fi
 
 # Optimizer and bounded-memory suites: each exits non-zero when its

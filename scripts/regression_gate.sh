@@ -1,8 +1,7 @@
 #!/usr/bin/env bash
-# CI perf-regression gate (docs/EXPERIMENTS.md): run the Fig 6 smoke bench
-# (which includes a 2-shard decentralized variant) and the sharded-ingest
-# shard sweep, diff each metrics sidecar against its committed baseline
-# with `desis-inspect diff --stable-only`, and append both runs to
+# CI perf-regression gate (docs/EXPERIMENTS.md): run the Fig 6 smoke bench,
+# diff its metrics sidecar against the committed baseline with
+# `desis-inspect diff --stable-only`, and append the run to
 # BENCH_history.jsonl. Exit status is desis-inspect's: 0 clean, 1 a stable
 # counter drifted beyond the band, 2 on tooling errors.
 #
@@ -10,9 +9,8 @@
 #
 # The comparison is restricted to deterministic counters (events, operator
 # evaluations, bytes on the wire, slice/result counts) so it is meaningful
-# on noisy shared CI machines; wall-clock throughput — and the shard
-# speedup/efficiency ratios derived from it — is recorded in the history
-# file but never gated on. The optimizer suites (bench_correlated,
+# on noisy shared CI machines; wall-clock throughput is recorded in the
+# history file but never gated on. The optimizer suites (bench_correlated,
 # bench_query_churn) run after: both self-check their acceptance contracts
 # (byte-identical optimized results, >= 2x operator-eval reduction, full
 # churn histograms) and exit non-zero on violation, then their stable
@@ -22,9 +20,6 @@
 #   DESIS_BENCH_SCALE=0.01 \
 #   DESIS_METRICS_OUT=bench/baselines/fig6_smoke_baseline.json \
 #     <build-dir>/bench/bench_fig6
-#   DESIS_METRICS_OUT=bench/baselines/micro_sharded_baseline.json \
-#     <build-dir>/bench/bench_micro \
-#       --benchmark_filter='BM_IngestSharded' --benchmark_min_time=0.05
 #   DESIS_BENCH_SCALE=0.01 \
 #   DESIS_METRICS_OUT=bench/baselines/correlated_baseline.json \
 #     <build-dir>/bench/bench_correlated
@@ -40,10 +35,8 @@ BUILD_DIR=${1:?usage: regression_gate.sh <build-dir> [threshold]}
 THRESHOLD=${2:-0.15}
 REPO_ROOT=$(cd "$(dirname "$0")/.." && pwd)
 BASELINE="$REPO_ROOT/bench/baselines/fig6_smoke_baseline.json"
-SHARDED_BASELINE="$REPO_ROOT/bench/baselines/micro_sharded_baseline.json"
 OUT=$(mktemp -t fig6_smoke_XXXXXX.json)
-SHARDED_OUT=$(mktemp -t micro_sharded_XXXXXX.json)
-trap 'rm -f "$OUT" "$SHARDED_OUT"' EXIT
+trap 'rm -f "$OUT"' EXIT
 
 # Same pinned scale the baseline was generated with.
 DESIS_BENCH_SCALE=0.01 DESIS_METRICS_OUT="$OUT" \
@@ -55,17 +48,6 @@ DESIS_BENCH_SCALE=0.01 DESIS_METRICS_OUT="$OUT" \
 "$BUILD_DIR/tools/desis_inspect" diff "$BASELINE" "$OUT" \
   --threshold="$THRESHOLD" --stable-only
 
-# Sharded-ingest shard sweep: events/sec and scaling efficiency land in
-# the history file; only the deterministic engine counters are gated.
-DESIS_METRICS_OUT="$SHARDED_OUT" "$BUILD_DIR/bench/bench_micro" \
-  --benchmark_filter='BM_IngestSharded' --benchmark_min_time=0.05 >/dev/null
-
-"$BUILD_DIR/tools/desis_inspect" summary "$SHARDED_OUT"
-"$BUILD_DIR/tools/desis_inspect" history "$SHARDED_OUT" \
-  --append="$REPO_ROOT/BENCH_history.jsonl"
-"$BUILD_DIR/tools/desis_inspect" diff "$SHARDED_BASELINE" "$SHARDED_OUT" \
-  --threshold="$THRESHOLD" --stable-only
-
 # Optimizer and bounded-memory suites: the binaries fail on any
 # acceptance-contract violation (set -e propagates) — bench_memory_cap
 # checks governed runs stay byte-identical with peak residency at or under
@@ -73,7 +55,7 @@ DESIS_METRICS_OUT="$SHARDED_OUT" "$BUILD_DIR/bench/bench_micro" \
 for suite in correlated query_churn memory_cap; do
   SUITE_BASELINE="$REPO_ROOT/bench/baselines/${suite}_baseline.json"
   SUITE_OUT=$(mktemp -t "${suite}_XXXXXX.json")
-  trap 'rm -f "$OUT" "$SHARDED_OUT" "$SUITE_OUT"' EXIT
+  trap 'rm -f "$OUT" "$SUITE_OUT"' EXIT
   DESIS_BENCH_SCALE=0.01 DESIS_METRICS_OUT="$SUITE_OUT" \
     "$BUILD_DIR/bench/bench_${suite}" >/dev/null
 

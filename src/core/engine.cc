@@ -27,21 +27,17 @@ std::unique_ptr<StreamSlicer> SlicingEngine::MakeSlicer(QueryGroup group) {
   if (slicers_.size() < kMaxInstrumentedGroups) {
     slicer->set_metrics(registry_);
   }
-  if (gov_ != nullptr) slicer->set_memory(gov_);
+  if (gov_ != nullptr) slicer->set_memory(gov_.get());
   return slicer;
 }
 
 void SlicingEngine::EnableMemoryBudget(const mem::MemoryOptions& options) {
-  owned_gov_ = options.budget_bytes == 0
-                   ? nullptr
-                   : std::make_unique<mem::MemoryGovernor>(options);
-  set_memory_governor(owned_gov_.get());
-}
-
-void SlicingEngine::set_memory_governor(mem::MemoryGovernor* governor) {
-  if (governor != owned_gov_.get()) owned_gov_.reset();
-  gov_ = governor;
-  for (auto& slicer : slicers_) slicer->set_memory(gov_);
+  auto gov = options.budget_bytes == 0
+                 ? nullptr
+                 : std::make_unique<mem::MemoryGovernor>(options);
+  // Slicers move to the new governor before the old one is destroyed.
+  for (auto& slicer : slicers_) slicer->set_memory(gov.get());
+  gov_ = std::move(gov);
   if (gov_ != nullptr && registry_ != nullptr) {
     gov_->AttachMetrics(registry_, {});
   }

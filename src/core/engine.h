@@ -61,12 +61,8 @@ class SlicingEngine : public StreamEngine {
   /// removes governance. Call before the first Ingest().
   void EnableMemoryBudget(const mem::MemoryOptions& options);
 
-  /// Attaches an externally owned governor instead (sharded engines hand
-  /// one governor per shard); null detaches. Overrides EnableMemoryBudget.
-  void set_memory_governor(mem::MemoryGovernor* governor);
-
-  /// The active governor (owned or external); null when ungoverned.
-  mem::MemoryGovernor* memory_governor() const { return gov_; }
+  /// The active governor; null when ungoverned.
+  mem::MemoryGovernor* memory_governor() const { return gov_.get(); }
 
   /// Registers a new query at runtime (§3.2). The query starts windowing
   /// with the next event; existing groups are not re-partitioned.
@@ -107,11 +103,9 @@ class SlicingEngine : public StreamEngine {
   void IngestOrdered(const Event& event);
   void IngestOrderedBatch(const Event* events, size_t count);
 
-  /// Owned governor (EnableMemoryBudget); declared before slicers_ so the
-  /// slicers (which deregister from it) are destroyed first.
-  std::unique_ptr<mem::MemoryGovernor> owned_gov_;
-  /// Active governor: owned_gov_.get() or an external one; null = off.
-  mem::MemoryGovernor* gov_ = nullptr;
+  /// Governor (EnableMemoryBudget), null = off; declared before slicers_
+  /// so the slicers (which deregister from it) are destroyed first.
+  std::unique_ptr<mem::MemoryGovernor> gov_;
   std::vector<std::unique_ptr<StreamSlicer>> slicers_;
   SliceSink slice_sink_;
   std::optional<ReorderBuffer> reorder_;

@@ -151,7 +151,7 @@ void RootAssembler::AddPartial(const SliceRecord& msg) {
   }
 
   // Senders pin their advertised watermark to the earliest slice they still
-  // hold (ShardedEngine::AdvanceTo, DesisIntermediateNode::FlushUpTo), so a
+  // hold (DesisLocalNode::Advance, DesisIntermediateNode::FlushUpTo), so a
   // partial can never arrive at or behind the session scan's cursor — the
   // scan consumes each entry exactly once, and activity merged in behind it
   // would silently vanish from session tracking.

@@ -19,10 +19,7 @@ namespace desis {
 /// tracking (session windows), and shipped end punctuations (user-defined
 /// windows). Everything is watermark-driven: a window [ws, we) closes only
 /// once every child's watermark passed `we`, so out-of-order arrival across
-/// children is safe. The "children" need not be remote nodes: the
-/// ShardedEngine reuses this exact machinery intra-process, with its shard
-/// threads as the children (core/sharded_engine.h), which is why this
-/// lives in core and consumes plain SliceRecords — the net layer converts
+/// children is safe. It consumes plain SliceRecords: the net layer converts
 /// wire SlicePartialMsgs before handing them over.
 class RootAssembler {
  public:

@@ -12,7 +12,7 @@
 
 namespace desis::mem {
 
-/// Memory budget for one engine (or one shard of a sharded engine).
+/// Memory budget for one engine or one Desis local node.
 /// budget_bytes == 0 means ungoverned: no accounting, no spilling — the
 /// seed-identical default everywhere a MemoryOptions is embedded.
 struct MemoryOptions {
@@ -38,8 +38,8 @@ class SpillClient {
 /// Tracks resident bytes of governed slice state against a budget and,
 /// when over, asks registered clients round-robin to shed until the budget
 /// holds or every client is dry. Single-threaded by design: each governor
-/// belongs to one engine (or one shard) and is only touched from that
-/// engine's ingest thread, so accounting is plain integer arithmetic.
+/// belongs to one engine (or one local node) and is only touched from its
+/// owner's ingest thread, so accounting is plain integer arithmetic.
 class MemoryGovernor {
  public:
   explicit MemoryGovernor(MemoryOptions options);

@@ -19,8 +19,8 @@ namespace desis::mem {
 /// unlinked on destruction (spill hygiene: crashed runs leave files only
 /// inside the .gitignore'd spill dir, never in the tree).
 ///
-/// Single-threaded: one SpillFile belongs to one StreamSlicer (and thus to
-/// one shard thread); the governor hands out one file per client.
+/// Single-threaded: one SpillFile belongs to one StreamSlicer; the governor
+/// hands out one file per client.
 class SpillFile {
  public:
   /// Creates a uniquely named run file under `dir` (created if missing).

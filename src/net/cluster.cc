@@ -175,8 +175,7 @@ Status Cluster::Configure(const std::vector<Query>& queries) {
       };
       make_local = [this](uint32_t id) {
         return std::make_unique<DesisLocalNode>(
-            id, desis_groups_, /*forward_batch_size=*/512,
-            options_.engine_shards, options_.memory);
+            id, desis_groups_, /*forward_batch_size=*/512, options_.memory);
       };
       break;
     }
@@ -459,7 +458,7 @@ Result<int> Cluster::AddLocalNode() {
   // cold-start snapshot: the index is the source of truth after Configure.
   auto node = std::make_unique<DesisLocalNode>(
       next_node_id_++, group_index_.Snapshot(), /*forward_batch_size=*/512,
-      options_.engine_shards, options_.memory);
+      options_.memory);
   const int local_idx = static_cast<int>(locals_.size());
   locals_.push_back(node.get());
   locals_raw_.push_back(node.get());
@@ -816,17 +815,7 @@ Status Cluster::AddQuery(const Query& query) {
     return Status::AlreadyExists("query id already registered");
   }
 
-  // Shard-pool carve-out: a dedup query or user-defined window joining a
-  // pool-hosted group would make it unshardable mid-flight; isolate those
-  // into their own (serially deployed) group instead. Root-only groups
-  // never live in the pool, so count-measure queries are unaffected.
-  const bool pool_breaker =
-      options_.engine_shards > 0 && system_ == ClusterSystem::kDesis &&
-      (query.deduplicate || query.window.type == WindowType::kUserDefined) &&
-      query.window.measure != WindowMeasure::kCount;
-  const opt::QueryPlacement placement =
-      pool_breaker ? group_index_.AddQueryIsolated(query)
-                   : group_index_.AddQuery(query);
+  const opt::QueryPlacement placement = group_index_.AddQuery(query);
   QueryGroup* group = group_index_.MutableFind(placement.gid);
 
   auto* root = static_cast<DesisRootNode*>(root_raw_);
@@ -1053,12 +1042,11 @@ std::string Cluster::StatsReport() const {
   std::snprintf(buf, sizeof(buf),
                 "\"system\":\"%s\",\"transport\":\"%s\","
                 "\"topology\":{\"locals\":%d,\"intermediates\":%d,"
-                "\"layers\":%d},\"engine_shards\":%d,"
+                "\"layers\":%d},"
                 "\"results\":%" PRIu64 ",\"roles\":{",
                 ToString(system_).c_str(), transport_->name(),
                 topology_.num_locals, topology_.num_intermediates,
-                topology_.intermediate_layers, options_.engine_shards,
-                results_.load());
+                topology_.intermediate_layers, results_.load());
   out += buf;
   AppendRole(out, "local", local);
   out += ",";

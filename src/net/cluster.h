@@ -44,12 +44,6 @@ struct ClusterTopology {
 
 /// Cluster-wide engine knobs.
 struct ClusterOptions {
-  /// Shard threads per Desis local node (core/sharded_engine.h): each
-  /// local's shardable pushed-down groups run on a key-sharded engine pool
-  /// and per-shard slices are merged intra-node before shipping. 0 keeps
-  /// the seed single-threaded path byte-identical; ignored by the other
-  /// systems.
-  int engine_shards = 0;
   /// Runs the cost-based optimizer (src/opt/) over the analyzed query-
   /// groups at Configure: per-lane operator masks and factor-window
   /// rewriting (coarse windows assemble from finer tumbling feeders'

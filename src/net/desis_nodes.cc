@@ -1,7 +1,6 @@
 #include "net/desis_nodes.h"
 
 #include <algorithm>
-#include <cassert>
 
 #include "core/engine.h"  // SlicingEngine::kMaxInstrumentedGroups
 
@@ -29,75 +28,19 @@ Timestamp EventBatchEndTs(const std::vector<uint8_t>& payload) {
 
 DesisLocalNode::DesisLocalNode(uint32_t id,
                                const std::vector<QueryGroup>& groups,
-                               size_t forward_batch_size, int engine_shards,
+                               size_t forward_batch_size,
                                const mem::MemoryOptions& memory)
-    : Node(id, NodeRole::kLocal),
-      mem_options_(memory),
-      forward_batch_size_(forward_batch_size),
-      engine_shards_(engine_shards) {
-  if (mem_options_.budget_bytes > 0) {
-    // With a shard pool the budget is split half/half between the plain
-    // slicers and the pool (unshardable groups hold full-stream state, so
-    // an even split is the conservative default); otherwise the plain
-    // slicers get all of it.
-    mem::MemoryOptions plain = mem_options_;
-    if (engine_shards_ > 0) {
-      plain.budget_bytes =
-          std::max<uint64_t>(plain.budget_bytes / 2, uint64_t{1});
-    }
-    gov_ = std::make_unique<mem::MemoryGovernor>(plain);
+    : Node(id, NodeRole::kLocal), forward_batch_size_(forward_batch_size) {
+  if (memory.budget_bytes > 0) {
+    gov_ = std::make_unique<mem::MemoryGovernor>(memory);
   }
   AddGroups(groups);
 }
 
-void DesisLocalNode::DeployToPool(const std::vector<QueryGroup>& groups) {
-  if (groups.empty()) return;
-  if (pool_ == nullptr) {
-    ShardedEngineOptions opts;
-    opts.shards = engine_shards_;
-    opts.node_label = std::to_string(id());
-    pool_ = std::make_unique<ShardedEngine>(opts);
-    if (mem_options_.budget_bytes > 0) {
-      mem::MemoryOptions half = mem_options_;
-      half.budget_bytes =
-          std::max<uint64_t>(half.budget_bytes / 2, uint64_t{1});
-      pool_->EnableMemoryBudget(half);
-    }
-    Status st = pool_->ConfigureGroups(
-        groups, [this](uint32_t gid, const SliceRecord& rec) {
-          ShipSlice(gid, rec);
-        });
-    assert(st.ok());
-    (void)st;
-    pool_->set_tracer(tracer_, id(), obs::kSpanRoleLocal);
-    pool_->set_metrics_registry(obs_registry_);
-    return;
-  }
-  pool_->AddShardedGroups(groups);
-}
-
-void DesisLocalNode::FoldPoolStats() {
-  if (pool_ == nullptr) return;
-  const EngineStats& ps = pool_->stats();
-  const uint64_t now[4] = {
-      ps.operator_executions.load(), ps.slices_created.load(),
-      ps.selection_evals.load(), ps.merges.load()};
-  stats_.operator_executions += now[0] - pool_folded_[0];
-  stats_.slices_created += now[1] - pool_folded_[1];
-  stats_.selection_evals += now[2] - pool_folded_[2];
-  stats_.merges += now[3] - pool_folded_[3];
-  for (int i = 0; i < 4; ++i) pool_folded_[i] = now[i];
-}
-
 void DesisLocalNode::AddGroups(const std::vector<QueryGroup>& groups) {
-  std::vector<QueryGroup> pool_groups;
   for (const QueryGroup& group : groups) {
     if (group.root_only) {
       forward_groups_.push_back({group, {}});
-      continue;
-    }
-    if (engine_shards_ > 0 && GroupShardable(group)) {
-      pool_groups.push_back(group);
       continue;
     }
     SlicerOptions options;
@@ -118,7 +61,6 @@ void DesisLocalNode::AddGroups(const std::vector<QueryGroup>& groups) {
     if (gov_ != nullptr) slicer->set_memory(gov_.get());
     slicers_.emplace_back(gid, std::move(slicer));
   }
-  DeployToPool(pool_groups);
 }
 
 bool DesisLocalNode::AddQueryToGroup(uint32_t group_id, const Query& q,
@@ -139,10 +81,6 @@ bool DesisLocalNode::AddQueryToGroup(uint32_t group_id, const Query& q,
     fg.group.queries.push_back({q, lane});
     return true;
   }
-  if (pool_ != nullptr &&
-      pool_->ApplyQueryAdd(group_id, q, lane, lane_def, active_from)) {
-    return true;
-  }
   return false;
 }
 
@@ -157,7 +95,7 @@ bool DesisLocalNode::RemoveGroup(uint32_t group_id) {
     forward_groups_.erase(it);
     return true;
   }
-  return pool_ != nullptr && pool_->RemoveShardedGroup(group_id);
+  return false;
 }
 
 void DesisLocalNode::OnObsAttached() {
@@ -167,10 +105,6 @@ void DesisLocalNode::OnObsAttached() {
       slicer->set_metrics(obs_registry_);
     }
   }
-  if (pool_ != nullptr) {
-    pool_->set_tracer(tracer_, id(), obs::kSpanRoleLocal);
-    pool_->set_metrics_registry(obs_registry_);
-  }
   if (gov_ != nullptr) {
     gov_->AttachMetrics(obs_registry_, {{"node", std::to_string(id())}});
   }
@@ -178,7 +112,6 @@ void DesisLocalNode::OnObsAttached() {
 
 void DesisLocalNode::OnFlightAttached() {
   for (auto& [gid, slicer] : slicers_) slicer->set_flight(flight_);
-  if (pool_ != nullptr) pool_->set_flight_recorder(flight_);
 }
 
 void DesisLocalNode::IngestBatch(const Event* events, size_t count) {
@@ -189,7 +122,6 @@ void DesisLocalNode::IngestBatch(const Event* events, size_t count) {
     // Pushed-down groups take the slicer's run-based fast path; groups with
     // dynamic or count-measure specs fall back per event inside the slicer.
     for (auto& [gid, slicer] : slicers_) slicer->IngestBatch(events, count);
-    if (pool_ != nullptr) pool_->IngestBatch(events, count);
     for (ForwardGroup& fg : forward_groups_) {
       for (size_t i = 0; i < count; ++i) {
         for (const SelectionLane& lane : fg.group.lanes) {
@@ -259,14 +191,6 @@ void DesisLocalNode::Advance(Timestamp watermark) {
       // unsealed slice (e.g. a running session) are not upstream yet.
       const Timestamp slicer_safe = slicer->SafeWatermark();
       if (slicer_safe != kNoTimestamp) safe = std::min(safe, slicer_safe);
-    }
-    if (pool_ != nullptr) {
-      // Barriers on the shard watermarks, merges shard slices per range,
-      // and ships them through ShipSlice before the watermark goes out.
-      pool_->AdvanceTo(watermark);
-      const Timestamp pool_safe = pool_->SafeWatermark();
-      if (pool_safe != kNoTimestamp) safe = std::min(safe, pool_safe);
-      FoldPoolStats();
     }
     for (ForwardGroup& fg : forward_groups_) FlushForwardBatch(fg.group.id);
     SendToParent({MessageType::kWatermark, 0, EncodeWatermark(safe)});

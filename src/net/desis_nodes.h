@@ -9,7 +9,6 @@
 
 #include "core/query_analyzer.h"
 #include "core/root_assembler.h"
-#include "core/sharded_engine.h"
 #include "core/slicer.h"
 #include "core/stats.h"
 #include "mem/memory_governor.h"
@@ -21,21 +20,13 @@ namespace desis {
 /// mode. Every sealed slice's partial results are shipped to the parent
 /// instead of raw events; for root-only query-groups (count-based measures)
 /// matching raw events are batched and forwarded.
-///
-/// With `engine_shards` > 0 the shardable pushed-down groups run on a
-/// key-sharded engine pool (core/sharded_engine.h): events fan out to
-/// shard threads, and at each Advance() the per-shard slices are merged
-/// intra-node before shipping, so the wire traffic and the shipped
-/// partials match the single-threaded node. 0 keeps the seed path.
 class DesisLocalNode : public Node, public LocalIngest {
  public:
   /// `memory` (budget_bytes > 0) puts this node's slice state under a
-  /// mem::MemoryGovernor: the plain slicers share one governor, and with a
-  /// shard pool the budget is split evenly between the plain slicers and
-  /// the pool (which partitions its half across shard governors). A zero
-  /// budget keeps the ungoverned seed path.
+  /// mem::MemoryGovernor shared by every slicer. A zero budget keeps the
+  /// ungoverned seed path.
   DesisLocalNode(uint32_t id, const std::vector<QueryGroup>& groups,
-                 size_t forward_batch_size = 512, int engine_shards = 0,
+                 size_t forward_batch_size = 512,
                  const mem::MemoryOptions& memory = {});
 
   /// Feeds a batch of events (non-decreasing ts); CPU time is metered.
@@ -52,8 +43,8 @@ class DesisLocalNode : public Node, public LocalIngest {
   void AddGroups(const std::vector<QueryGroup>& groups);
 
   /// Joins one query into an already-deployed group (incremental group
-  /// maintenance): dispatches to the plain slicer, the shard pool, or the
-  /// forward-group lane list, whichever hosts `group_id`. Returns false if
+  /// maintenance): dispatches to the slicer or the forward-group lane
+  /// list, whichever hosts `group_id`. Returns false if
   /// the group is not deployed here.
   bool AddQueryToGroup(uint32_t group_id, const Query& q, uint32_t lane,
                        const SelectionLane& lane_def, Timestamp active_from);
@@ -69,7 +60,7 @@ class DesisLocalNode : public Node, public LocalIngest {
 
   const EngineStats& engine_stats() const { return stats_; }
 
-  /// Governor of the plain (non-pooled) slicers; null when ungoverned.
+  /// Governor of the slicers; null when ungoverned.
   const mem::MemoryGovernor* memory_governor() const { return gov_.get(); }
 
   /// Re-sends the last advertised watermark so a new parent learns this
@@ -80,23 +71,16 @@ class DesisLocalNode : public Node, public LocalIngest {
   void HandleMessage(const Message& message, int child_index) override;
   /// Forwards the tracer to every slicer (slice-created spans at locals).
   void OnObsAttached() override;
-  /// Forwards the flight recorder to every slicer and the shard pool.
+  /// Forwards the flight recorder to every slicer.
   void OnFlightAttached() override;
 
  private:
   void ShipSlice(uint32_t group_id, const SliceRecord& rec);
   void FlushForwardBatch(uint32_t group_id);
-  /// Hands shardable groups to the shard pool (creating it on first use).
-  void DeployToPool(const std::vector<QueryGroup>& groups);
-  /// Folds the pool's slicer-side counter deltas into stats_ (its events
-  /// counter is skipped — IngestBatch already counts the stream once).
-  void FoldPoolStats();
 
   EngineStats stats_;
-  /// Memory governance: configured options plus the plain slicers' shared
-  /// governor. Declared before slicers_ so they deregister before it dies;
-  /// the shard pool carries its own per-shard governors.
-  mem::MemoryOptions mem_options_;
+  /// Memory governance: the slicers' shared governor. Declared before
+  /// slicers_ so they deregister before it dies.
   std::unique_ptr<mem::MemoryGovernor> gov_;
   // Pushed-down groups: group id -> slicer.
   std::vector<std::pair<uint32_t, std::unique_ptr<StreamSlicer>>> slicers_;
@@ -110,10 +94,6 @@ class DesisLocalNode : public Node, public LocalIngest {
   };
   std::vector<ForwardGroup> forward_groups_;
   size_t forward_batch_size_;
-  int engine_shards_;
-  std::unique_ptr<ShardedEngine> pool_;
-  // Pool counters already folded into stats_.
-  uint64_t pool_folded_[4] = {0, 0, 0, 0};
   Timestamp last_ts_ = kNoTimestamp;
 };
 

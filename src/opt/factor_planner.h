@@ -24,7 +24,7 @@ namespace opt {
 ///
 /// The returned plan leaves results byte-identical for exactly
 /// representable aggregates; re-associated floating-point sums can differ
-/// in final ULPs exactly like the sharded engine's merges.
+/// in final ULPs.
 GroupPlan BuildGroupPlan(const QueryGroup& group);
 
 /// Plans every group in place; returns how many came out optimized.

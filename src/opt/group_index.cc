@@ -40,7 +40,6 @@ void GroupIndex::Seed(const std::vector<QueryGroup>& groups) {
     const Query& first = group.queries.front().query;
     ig.bucket = {group.root_only,
                  grouping::SharingClass(policy_, first, next_seq_)};
-    ig.in_bucket = true;
     buckets_[ig.bucket].push_back(group.id);
     for (const GroupedQuery& gq : group.queries) {
       owner_[gq.query.id] = group.id;
@@ -134,18 +133,7 @@ QueryPlacement GroupIndex::AddQuery(const Query& q) {
   QueryPlacement placement = CreateGroup(q, root_only);
   IndexedGroup& ig = groups_.at(placement.gid);
   ig.bucket = key;
-  ig.in_bucket = true;
   buckets_[key].push_back(placement.gid);
-  return placement;
-}
-
-QueryPlacement GroupIndex::AddQueryIsolated(const Query& q) {
-  // Deployment carve-out (e.g. a dedup query aimed at a shard-pool group):
-  // the group joins no bucket, so later queries never share into it — the
-  // deployment-time divergence stays contained to this one query.
-  QueryPlacement placement =
-      CreateGroup(q, grouping::RootOnly(mode_, q));
-  ++next_seq_;
   return placement;
 }
 
@@ -171,11 +159,9 @@ Result<QueryRemoval> GroupIndex::RemoveQuery(QueryId id) {
   removal.gid = gid;
   removal.group_empty = qs.empty();
   if (removal.group_empty) {
-    if (ig.in_bucket) {
-      auto& vec = buckets_[ig.bucket];
-      vec.erase(std::remove(vec.begin(), vec.end(), gid), vec.end());
-      if (vec.empty()) buckets_.erase(ig.bucket);
-    }
+    auto& vec = buckets_[ig.bucket];
+    vec.erase(std::remove(vec.begin(), vec.end(), gid), vec.end());
+    if (vec.empty()) buckets_.erase(ig.bucket);
     groups_.erase(gid);
   }
   return removal;

@@ -55,10 +55,6 @@ class GroupIndex {
   /// PartialAggregate::MergeCompatible), so index and engine state agree.
   QueryPlacement AddQuery(const Query& q);
 
-  /// Places `q` in a brand-new group regardless of compatibility (used for
-  /// deployment carve-outs, e.g. keeping a shard-pool group shardable).
-  QueryPlacement AddQueryIsolated(const Query& q);
-
   /// Removes `q` from its group; retires the group when it was the last
   /// member. O(owning group).
   Result<QueryRemoval> RemoveQuery(QueryId id);
@@ -80,9 +76,8 @@ class GroupIndex {
     bool all_key_lanes = true;
     /// key -> lane for the fast path (meaningless when !all_key_lanes).
     std::unordered_map<uint32_t, uint32_t> key_to_lane;
-    /// Owning bucket, for O(log) retirement. Isolated groups are in none.
+    /// Owning bucket, for O(log) retirement.
     std::pair<bool, uint64_t> bucket{false, 0};
-    bool in_bucket = false;
   };
   using BucketKey = std::pair<bool, uint64_t>;  // (root_only, sharing class)
 

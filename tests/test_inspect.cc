@@ -206,15 +206,15 @@ TEST(InspectRecovery, DropsWithoutReplayAreFlaggedSuspect) {
 // ------------------------------------------------------- memory governance --
 
 TEST(InspectMemory, GovernorSeriesSumAcrossShardsIntoSummaryLine) {
-  // Two shard governors plus a serial one: the memory line aggregates them.
+  // Two local-node governors: the memory line aggregates them.
   const char* sidecar = R"({"bench":"memory_cap","obs_enabled":true,"runs":[
     {"run":"capped","report":{"obs":{"metrics":{"metrics":[
-      {"name":"engine.bytes_resident","labels":{"shard":"0"},"value":1000},
-      {"name":"engine.bytes_resident","labels":{"shard":"1"},"value":500},
-      {"name":"engine.spills","labels":{"shard":"0"},"value":4},
-      {"name":"engine.spills","labels":{"shard":"1"},"value":2},
-      {"name":"engine.spill_bytes","labels":{"shard":"0"},"value":65536},
-      {"name":"engine.spill_restores","labels":{"shard":"0"},"value":6},
+      {"name":"engine.bytes_resident","labels":{"node":"0"},"value":1000},
+      {"name":"engine.bytes_resident","labels":{"node":"1"},"value":500},
+      {"name":"engine.spills","labels":{"node":"0"},"value":4},
+      {"name":"engine.spills","labels":{"node":"1"},"value":2},
+      {"name":"engine.spill_bytes","labels":{"node":"0"},"value":65536},
+      {"name":"engine.spill_restores","labels":{"node":"0"},"value":6},
       {"name":"engine.sketch_lanes","labels":{"group":"0"},"value":1}]}}}}]})";
   const JsonValue v = Parse(sidecar);
   const MemoryStat ms = ExtractMemory(MetricsOf(v["runs"].array[0]));
@@ -248,7 +248,7 @@ TEST(InspectMemory, AbsentSeriesMeansUngoverned) {
   // line, and zero restores over zero spills is not thrash.
   const char* sidecar = R"({"bench":"fig6","obs_enabled":true,"runs":[
     {"run":"Desis","report":{"obs":{"metrics":{"metrics":[
-      {"name":"engine.shard_events","labels":{"shard":"0"},"value":10}]}}}}]})";
+      {"name":"group.events_in","labels":{"group":"0"},"value":10}]}}}}]})";
   const JsonValue v = Parse(sidecar);
   EXPECT_FALSE(ExtractMemory(MetricsOf(v["runs"].array[0])).present);
   EXPECT_FALSE(ExtractMemory(MetricsOf(v["runs"].array[0])).Suspect());
@@ -353,21 +353,21 @@ TEST(InspectDiff, DifferentBenchesAreNotComparable) {
   EXPECT_FALSE(r.comparable);
 }
 
-TEST(InspectDiff, DifferentEngineShardsAreNotComparable) {
-  // A 2-shard run and the serial seed run measure different code paths;
-  // the meta.engine_shards lists must match for a diff to be meaningful.
-  JsonValue a = Parse(SidecarJson(100000, 4096));
-  JsonValue b = Parse(SidecarJson(100000, 4096));
-  a.object["meta"] = Parse(R"({"engine_shards":[0],"hw_threads":8})");
-  b.object["meta"] = Parse(R"({"engine_shards":[0,2],"hw_threads":8})");
-  EXPECT_FALSE(DiffSidecars(a, b, DiffOptions{}).comparable);
-  // Identical shard configs stay comparable; hardware thread counts are
-  // recorded for provenance but never gate the diff.
-  b.object["meta"] = Parse(R"({"engine_shards":[0],"hw_threads":128})");
-  EXPECT_TRUE(DiffSidecars(a, b, DiffOptions{}).comparable);
-  // Pre-sharding sidecars (no engine_shards list at all) keep diffing.
-  const JsonValue legacy = Parse(SidecarJson(100000, 4096));
-  EXPECT_TRUE(DiffSidecars(legacy, legacy, DiffOptions{}).comparable);
+TEST(InspectDiff, LegacyEngineShardsMetaStaysComparable) {
+  // Committed baselines still carry the meta.engine_shards list that
+  // sidecars wrote while the key-sharded engine existed; a new sidecar
+  // without it must diff against them.
+  JsonValue baseline = Parse(SidecarJson(100000, 4096));
+  JsonValue fresh = Parse(SidecarJson(100000, 4096));
+  baseline.object["meta"] = Parse(R"({"engine_shards":[0],"hw_threads":8})");
+  fresh.object["meta"] = Parse(R"({"hw_threads":8})");
+  EXPECT_TRUE(DiffSidecars(baseline, fresh, DiffOptions{}).comparable);
+  // Hardware thread counts are recorded for provenance but never gate the
+  // diff, and sidecars without any meta header keep diffing.
+  fresh.object["meta"] = Parse(R"({"hw_threads":128})");
+  EXPECT_TRUE(DiffSidecars(baseline, fresh, DiffOptions{}).comparable);
+  const JsonValue bare = Parse(SidecarJson(100000, 4096));
+  EXPECT_TRUE(DiffSidecars(bare, bare, DiffOptions{}).comparable);
 }
 
 TEST(InspectDiff, DuplicateRunLabelsPairByOccurrence) {

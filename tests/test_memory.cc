@@ -15,7 +15,6 @@
 
 #include "common/rng.h"
 #include "core/engine.h"
-#include "core/sharded_engine.h"
 #include "mem/memory_governor.h"
 #include "mem/spill_file.h"
 #include "mem/tdigest.h"
@@ -373,8 +372,7 @@ std::vector<Query> HolisticQueries() {
   return queries;
 }
 
-template <typename Engine>
-std::vector<WindowResult> RunWorkload(Engine& engine,
+std::vector<WindowResult> RunWorkload(SlicingEngine& engine,
                                       size_t num_events = kEvents) {
   std::vector<WindowResult> results;
   engine.set_sink([&](const WindowResult& r) { results.push_back(r); });
@@ -534,45 +532,6 @@ TEST(MemoryEngine, GovernedRunExportsMetricsAndSpans) {
   EXPECT_TRUE(saw_restore);
 }
 #endif  // DESIS_OBS_ENABLED
-
-// ------------------------------------------------------ sharded engine --
-
-TEST(MemorySharded, BudgetSplitsAcrossShardsAndResultsMatchUngoverned) {
-  ScratchDir dir("sharded");
-  const std::vector<Query> queries = HolisticQueries();
-  ShardedEngineOptions shard_options;
-  shard_options.shards = 2;
-
-  ShardedEngine uncapped(shard_options);
-  ASSERT_TRUE(uncapped.Configure(queries).ok());
-  EXPECT_EQ(uncapped.shard_governor(0), nullptr);
-  const std::vector<WindowResult> golden = RunWorkload(uncapped, 128 * 1024);
-  ASSERT_FALSE(golden.empty());
-
-  // Shard slicers ship sealed slices to the caller immediately, so the
-  // governed state is the open-slice buffers — a small budget forces
-  // open-lane spills that the seal-time k-way merge must fold back in.
-  mem::MemoryOptions options;
-  options.budget_bytes = 64 * 1024;
-  options.min_spill_bytes = 4096;
-  options.spill_dir = dir.path;
-  ShardedEngine capped(shard_options);
-  capped.EnableMemoryBudget(options);
-  ASSERT_TRUE(capped.Configure(queries).ok());
-  ASSERT_EQ(capped.num_shards(), 2);
-  for (size_t s = 0; s < 2; ++s) {
-    ASSERT_NE(capped.shard_governor(s), nullptr);
-    EXPECT_EQ(capped.shard_governor(s)->budget(), options.budget_bytes / 2);
-  }
-  EXPECT_EQ(capped.serial_governor(), nullptr);  // all groups shardable
-
-  const std::vector<WindowResult> governed = RunWorkload(capped, 128 * 1024);
-  ExpectIdenticalResults(golden, governed);
-
-  uint64_t spills = 0;
-  for (size_t s = 0; s < 2; ++s) spills += capped.shard_governor(s)->spills();
-  EXPECT_GT(spills, 0u);
-}
 
 // -------------------------------------------------------------- cluster --
 

@@ -7,8 +7,8 @@
 //    lane-accurate form without touching results;
 //  - a query added at runtime joins the exact group a cold start would
 //    have chosen (opt::GroupIndex replays the analyzer's probe order), and
-//    churn storms under sharded engines and concurrent transports never
-//    lose or duplicate a stable query's windows.
+//    churn storms under concurrent transports never lose or duplicate a
+//    stable query's windows.
 
 #include <gtest/gtest.h>
 
@@ -375,21 +375,6 @@ TEST(OptGroupIndex, RemoveRetiresOnlyEmptyGroups) {
   EXPECT_FALSE(index.RemoveQuery(99).ok());
 }
 
-TEST(OptGroupIndex, IsolatedGroupsStayOutOfProbeOrder) {
-  opt::GroupIndex index;
-  index.Seed(Analyze(
-      {MakeQuery(1, WindowSpec::Tumbling(100), AggregationFunction::kSum)}));
-  const auto isolated = index.AddQueryIsolated(
-      MakeQuery(2, WindowSpec::Tumbling(100), AggregationFunction::kAverage));
-  EXPECT_TRUE(isolated.new_group);
-  EXPECT_EQ(index.num_groups(), 2u);
-  // A compatible later query joins the bucketed group, never the carve-out.
-  const auto later = index.AddQuery(
-      MakeQuery(3, WindowSpec::Tumbling(300), AggregationFunction::kMax));
-  EXPECT_FALSE(later.new_group);
-  EXPECT_NE(later.gid, isolated.gid);
-}
-
 // -------------------------------------------------------- cluster equivalence
 
 Event Ev(Timestamp ts, uint32_t key, double v) { return {ts, key, v, kNoMarker}; }
@@ -501,7 +486,6 @@ std::unique_ptr<Transport> MakeTransport(TransportKind kind) {
 /// (disjoint key lanes), widening masks and lanes mid-flight.
 void DriveChurnRun(TransportKind kind, bool churn, Recorder* rec) {
   ClusterOptions options;
-  options.engine_shards = 2;
   Cluster cluster(ClusterSystem::kDesis, {4, 1}, options);
   if (auto transport = MakeTransport(kind)) {
     cluster.set_transport(std::move(transport));

@@ -212,7 +212,7 @@ inline RecoveryStat ExtractRecovery(const JsonValue& report) {
 // ------------------------------------------------------- memory governance --
 
 /// Memory-governor counters summed over every engine.* series in the run's
-/// metrics snapshot (one series per governed engine or shard). Absent
+/// metrics snapshot (one series per governed engine or node). Absent
 /// unless the run had a memory budget (DESIGN.md §3, memory governance).
 struct MemoryStat {
   bool present = false;
@@ -310,14 +310,6 @@ inline std::string Summarize(const JsonValue& sidecar) {
       out += (i == 0 ? "" : ",") + transports.array[i].AsString();
     }
     out += "]";
-    const JsonValue& shards = meta["engine_shards"];
-    if (shards.is_array()) {
-      out += " engine_shards=[";
-      for (size_t i = 0; i < shards.array.size(); ++i) {
-        out += (i == 0 ? "" : ",") + FormatDouble(shards.array[i].AsNumber());
-      }
-      out += "]";
-    }
     if (meta["hw_threads"].is_number()) {
       out += " hw_threads=" + FormatDouble(meta["hw_threads"].AsNumber());
     }
@@ -433,26 +425,20 @@ struct DiffResult {
 };
 
 /// Wall-clock-derived metric names: real on a quiet machine, noise in CI.
-/// The shard speedup/efficiency ratios are quotients of wall-clock rates,
-/// so they inherit the noise.
 inline bool IsNoisyMetric(const std::string& name) {
   return name.find("events_per_sec") != std::string::npos ||
          name.find("busy_ns") != std::string::npos ||
          name.find("_ns") != std::string::npos ||
          name.find("us_per_result") != std::string::npos ||
          name.find("latency") != std::string::npos ||
-         name.find("watermark_lag") != std::string::npos ||
-         name.find("speedup") != std::string::npos ||
-         name.find("scaling_efficiency") != std::string::npos;
+         name.find("watermark_lag") != std::string::npos;
 }
 
 /// Direction of badness: for these, only a *decrease* is a regression; for
 /// everything else any drift beyond the band is flagged.
 inline bool HigherIsBetter(const std::string& name) {
   return name.find("events_per_sec") != std::string::npos ||
-         name.find("sharing_ratio") != std::string::npos ||
-         name.find("speedup") != std::string::npos ||
-         name.find("scaling_efficiency") != std::string::npos;
+         name.find("sharing_ratio") != std::string::npos;
 }
 
 /// Flattens the numeric leaves of a report subtree into dotted paths
@@ -505,16 +491,6 @@ inline std::vector<std::pair<std::string, const JsonValue*>> KeyedRuns(
   return out;
 }
 
-/// The distinct engine-shard counts recorded in a sidecar's meta header.
-/// Sidecars written before the sharded engine existed have no such list.
-inline std::vector<double> MetaEngineShards(const JsonValue& sidecar) {
-  std::vector<double> out;
-  for (const JsonValue& v : sidecar["meta"]["engine_shards"].array) {
-    out.push_back(v.AsNumber());
-  }
-  return out;
-}
-
 /// Whether the sidecar's runs had the health watchdog thread live (meta
 /// "watchdog" entry, written by Sidecar::NoteWatchdog). Sidecars predating
 /// the watchdog have no entry and read as off.
@@ -527,10 +503,6 @@ inline DiffResult DiffSidecars(const JsonValue& before, const JsonValue& after,
   DiffResult result;
   if (before["bench"].AsString() != after["bench"].AsString() ||
       before["obs_enabled"].boolean != after["obs_enabled"].boolean ||
-      // Runs with different parallelism configurations measure different
-      // code paths — never silently compare, say, a 4-shard run against
-      // the serial seed.
-      MetaEngineShards(before) != MetaEngineShards(after) ||
       // A live watchdog thread samples (and locks) alongside the run;
       // comparing a watchdog-on run against a watchdog-off baseline would
       // report its overhead as a regression in the workload under test.
