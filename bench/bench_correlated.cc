@@ -133,18 +133,16 @@ CorrelatedRun RunCorrelated(const std::vector<Query>& queries, bool optimize,
   double work = 0;
   for (const QueryGroup& g : cluster.QueryGroupsSnapshot()) {
     const obs::Labels labels = {{"group", std::to_string(g.id)}};
-    obs::Counter* events_in =
+    const obs::Counter* events_in =
         registry.GetCounter("group.events_in", labels, "events");
-    if (events_in != nullptr) {
-      work += static_cast<double>(g.queries.size()) *
-              static_cast<double>(events_in->value());
-    }
+    work += static_cast<double>(g.queries.size()) *
+            static_cast<double>(events_in->value());
     for (const char* op : kOps) {
       obs::Labels op_labels = labels;
       op_labels.emplace_back("op", op);
-      obs::Counter* evals =
-          registry.GetCounter("group.operator_evals", op_labels, "evals");
-      if (evals != nullptr) out.operator_evals += evals->value();
+      out.operator_evals +=
+          registry.GetCounter("group.operator_evals", op_labels, "evals")
+              ->value();
     }
     out.rewrites += g.plan.rewrites;
     out.dag_depth = std::max(out.dag_depth, g.plan.dag_depth);
@@ -200,7 +198,6 @@ int Main() {
                 static_cast<unsigned long long>(baseline.results),
                 static_cast<unsigned long long>(baseline.fingerprint));
   }
-#if DESIS_OBS_ENABLED
   const double ratio =
       optimized.operator_evals > 0
           ? static_cast<double>(baseline.operator_evals) /
@@ -216,7 +213,6 @@ int Main() {
     std::fprintf(stderr, "FAIL: optimizer installed no factor edges\n");
     ++failures;
   }
-#endif
   WriteMetricsSidecar("bench_correlated");
   return failures == 0 ? 0 : 1;
 }

@@ -104,7 +104,6 @@ SweepOutcome RunCell(const std::string& label, uint32_t num_keys,
     out.spill_bytes += gov->spill_bytes();
     out.restores += gov->restores();
   }
-#if DESIS_OBS_ENABLED
   // The governed state movement must be visible to the black box too: any
   // local that spilled recorded kSpill events in its flight ring.
   const std::vector<std::string> dumps =
@@ -124,7 +123,6 @@ SweepOutcome RunCell(const std::string& label, uint32_t num_keys,
     }
     std::remove(path.c_str());
   }
-#endif
   Sidecar::Instance().NoteTransport(cluster.transport()->name());
   Sidecar::Instance().RecordRun(label, cluster.StatsReport(), tracer.ToJson());
   return out;
@@ -176,7 +174,6 @@ int Main() {
         std::fprintf(stderr, "FAIL: '%s' never spilled\n", label.c_str());
         ++failures;
       }
-#if DESIS_OBS_ENABLED
       if (!capped.flight_spill_seen) {
         std::fprintf(stderr,
                      "FAIL: '%s' spilled but no flight recorder carries a "
@@ -184,7 +181,6 @@ int Main() {
                      label.c_str());
         ++failures;
       }
-#endif
     }
   }
 

@@ -289,7 +289,7 @@ BENCHMARK(BM_IngestPredicated)->Arg(0)->Arg(1)->Arg(2);
 /// (generous against scheduler noise; the recorder's per-event cost is a
 /// handful of relaxed stores on control-plane events only). Returns true
 /// on violation so main can exit non-zero. No-op (returns false) when the
-/// probe pair did not run (--benchmark_filter) or OBS is off.
+/// probe pair did not run (--benchmark_filter).
 bool RecordRecorderOverhead() {
   const RecorderOverheadSample& off = RecorderSample(false);
   const RecorderOverheadSample& on = RecorderSample(true);

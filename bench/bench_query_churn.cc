@@ -145,20 +145,16 @@ ChurnPoint RunChurn(size_t resident, size_t churn_ops, size_t events_per_local) 
   ChurnPoint out;
   out.resident = resident;
   out.groups = cluster.num_query_groups();
-  obs::Histogram* add_hist =
+  const obs::Histogram* add_hist =
       registry.GetHistogram("opt.group_churn_ns", {{"op", "add"}}, "ns");
-  obs::Histogram* remove_hist =
+  const obs::Histogram* remove_hist =
       registry.GetHistogram("opt.group_churn_ns", {{"op", "remove"}}, "ns");
-  if (add_hist != nullptr) {
-    out.adds = add_hist->count();
-    out.add_p50 = add_hist->Quantile(0.50);
-    out.add_p95 = add_hist->Quantile(0.95);
-  }
-  if (remove_hist != nullptr) {
-    out.removes = remove_hist->count();
-    out.remove_p50 = remove_hist->Quantile(0.50);
-    out.remove_p95 = remove_hist->Quantile(0.95);
-  }
+  out.adds = add_hist->count();
+  out.add_p50 = add_hist->Quantile(0.50);
+  out.add_p95 = add_hist->Quantile(0.95);
+  out.removes = remove_hist->count();
+  out.remove_p50 = remove_hist->Quantile(0.50);
+  out.remove_p95 = remove_hist->Quantile(0.95);
 
   Sidecar::Instance().NoteTransport(cluster.transport()->name());
   char label[96];
@@ -187,7 +183,6 @@ int Main() {
 
   int failures = 0;
   for (const ChurnPoint& p : points) {
-#if DESIS_OBS_ENABLED
     if (p.adds != churn_ops || p.removes != churn_ops) {
       std::fprintf(stderr,
                    "FAIL: resident=%zu recorded %llu adds / %llu removes, "
@@ -196,14 +191,12 @@ int Main() {
                    static_cast<unsigned long long>(p.removes), churn_ops);
       ++failures;
     }
-#endif
     if (p.groups == 0) {
       std::fprintf(stderr, "FAIL: resident=%zu ended with no groups\n",
                    p.resident);
       ++failures;
     }
   }
-#if DESIS_OBS_ENABLED
   // The headline claim: churn latency tracks the affected group, not the
   // resident count. Print the spread for eyeballing / EXPERIMENTS.md; CI
   // does not gate on wall-clock (timing series are diff-skipped as noisy).
@@ -211,7 +204,6 @@ int Main() {
     std::printf("add p95 spread (largest/smallest resident): %.2fx\n",
                 points.back().add_p95 / points.front().add_p95);
   }
-#endif
   WriteMetricsSidecar("bench_query_churn");
   return failures == 0 ? 0 : 1;
 }

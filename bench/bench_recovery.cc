@@ -71,9 +71,9 @@ ChaosOutcome RunSchedule(const std::string& label,
   out.reattaches = cluster.recovery_reattaches();
   out.replayed = cluster.recovery_replayed();
   out.link_drops = sim->total_drops();
-  if (obs::Histogram* hist = registry.GetHistogram(
+  if (const obs::Histogram* hist = registry.GetHistogram(
           "recovery.reattach_latency_us", {{"system", "Desis"}}, "us");
-      hist != nullptr && hist->count() > 0) {
+      hist->count() > 0) {
     out.latency_p50_us = hist->Quantile(0.50);
     out.latency_p95_us = hist->Quantile(0.95);
   }

@@ -27,8 +27,6 @@
 namespace desis::bench {
 namespace {
 
-#if DESIS_OBS_ENABLED
-
 std::vector<Query> WatchdogQueries() {
   Query sum;
   sum.id = 1;
@@ -169,16 +167,6 @@ int Main() {
   if (failures == 0) std::printf("all watchdog contracts held\n");
   return failures == 0 ? 0 : 1;
 }
-
-#else  // !DESIS_OBS_ENABLED
-
-int Main() {
-  std::printf("watchdog bench skipped: DESIS_OBS=OFF compiles the health "
-              "monitor away\n");
-  return 0;
-}
-
-#endif  // DESIS_OBS_ENABLED
 
 }  // namespace
 }  // namespace desis::bench

@@ -115,7 +115,7 @@ class Sidecar {
   size_t num_runs() const { return entries_.size(); }
 
   /// Provenance header written ahead of the runs: code version, build
-  /// flavor, wall-clock time of the write, and the transports used. This
+  /// type, wall-clock time of the write, and the transports used. This
   /// is what desis-inspect keys its "comparable runs?" checks on.
   std::string MetaJson() const {
     char stamp[32] = "unknown";
@@ -138,9 +138,7 @@ class Sidecar {
 #endif
     out += "\",\"written_utc\":\"";
     out += stamp;
-    out += "\",\"obs_enabled\":";
-    out += DESIS_OBS_ENABLED ? "true" : "false";
-    out += ",\"transports\":[";
+    out += "\",\"transports\":[";
     for (size_t i = 0; i < transports_.size(); ++i) {
       out += (i == 0 ? "\"" : ",\"") + obs::JsonEscape(transports_[i]) + "\"";
     }
@@ -194,9 +192,8 @@ class Sidecar {
       std::fprintf(stderr, "cannot write metrics sidecar %s\n", path.c_str());
       return false;
     }
-    std::fprintf(f, "{\"bench\":\"%s\",\"scale\":%g,\"obs_enabled\":%s,",
-                 obs::JsonEscape(bench_name).c_str(), ScaleFactor(),
-                 DESIS_OBS_ENABLED ? "true" : "false");
+    std::fprintf(f, "{\"bench\":\"%s\",\"scale\":%g,",
+                 obs::JsonEscape(bench_name).c_str(), ScaleFactor());
     std::fprintf(f, "\"meta\":%s,", MetaJson().c_str());
     std::fprintf(f, "\"runs\":[");
     for (size_t i = 0; i < entries_.size(); ++i) {
@@ -371,8 +368,7 @@ inline DecentralizedResult RunDecentralized(
     ClusterOptions cluster_options = {}) {
   // Observability sinks for the metrics sidecar: per-node series + slice-
   // lifecycle spans. Declared before the cluster so they outlive its
-  // destructor (transport shutdown still reports into node gauges). With
-  // DESIS_OBS=OFF both are inert stubs.
+  // destructor (transport shutdown still reports into node gauges).
   obs::MetricsRegistry registry;
   obs::SliceTracer tracer(kSidecarTraceCapacity);
   Cluster cluster(system, topology, cluster_options);

@@ -2,8 +2,9 @@
 # CI perf-regression gate (docs/EXPERIMENTS.md): run the Fig 6 smoke bench,
 # diff its metrics sidecar against the committed baseline with
 # `desis-inspect diff --stable-only`, and append the run to
-# BENCH_history.jsonl. Exit status is desis-inspect's: 0 clean, 1 a stable
-# counter drifted beyond the band, 2 on tooling errors.
+# <build-dir>/BENCH_history.jsonl (not the tracked file at the repository
+# root, so local runs leave the tree clean). Exit status is desis-inspect's:
+# 0 clean, 1 a stable counter drifted beyond the band, 2 on tooling errors.
 #
 # Usage: scripts/regression_gate.sh <build-dir> [threshold]
 #
@@ -35,6 +36,7 @@ BUILD_DIR=${1:?usage: regression_gate.sh <build-dir> [threshold]}
 THRESHOLD=${2:-0.15}
 REPO_ROOT=$(cd "$(dirname "$0")/.." && pwd)
 BASELINE="$REPO_ROOT/bench/baselines/fig6_smoke_baseline.json"
+HISTORY="$BUILD_DIR/BENCH_history.jsonl"
 OUT=$(mktemp -t fig6_smoke_XXXXXX.json)
 trap 'rm -f "$OUT"' EXIT
 
@@ -44,7 +46,7 @@ DESIS_BENCH_SCALE=0.01 DESIS_METRICS_OUT="$OUT" \
 
 "$BUILD_DIR/tools/desis_inspect" summary "$OUT"
 "$BUILD_DIR/tools/desis_inspect" history "$OUT" \
-  --append="$REPO_ROOT/BENCH_history.jsonl"
+  --append="$HISTORY"
 "$BUILD_DIR/tools/desis_inspect" diff "$BASELINE" "$OUT" \
   --threshold="$THRESHOLD" --stable-only
 
@@ -61,7 +63,7 @@ for suite in correlated query_churn memory_cap; do
 
   "$BUILD_DIR/tools/desis_inspect" summary "$SUITE_OUT"
   "$BUILD_DIR/tools/desis_inspect" history "$SUITE_OUT" \
-    --append="$REPO_ROOT/BENCH_history.jsonl"
+    --append="$HISTORY"
   "$BUILD_DIR/tools/desis_inspect" diff "$SUITE_BASELINE" "$SUITE_OUT" \
     --threshold="$THRESHOLD" --stable-only
   rm -f "$SUITE_OUT"

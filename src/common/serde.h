@@ -39,6 +39,7 @@ class ByteWriter {
   void WritePodVector(const std::vector<T>& values) {
     static_assert(std::is_trivially_copyable_v<T>);
     WriteU32(static_cast<uint32_t>(values.size()));
+    if (values.empty()) return;  // data() may be null: no memcpy
     const size_t offset = buffer_.size();
     buffer_.resize(offset + values.size() * sizeof(T));
     std::memcpy(buffer_.data() + offset, values.data(),
@@ -91,6 +92,7 @@ class ByteReader {
     const uint32_t n = ReadU32();
     assert(pos_ + n * sizeof(T) <= size_);
     std::vector<T> values(n);
+    if (n == 0) return values;  // data() may be null: no memcpy
     std::memcpy(values.data(), data_ + pos_, n * sizeof(T));
     pos_ += n * sizeof(T);
     return values;

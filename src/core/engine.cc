@@ -62,10 +62,8 @@ void SlicingEngine::OnRegistryAttached() {
     slicers_[i]->set_metrics(i < kMaxInstrumentedGroups ? registry_ : nullptr);
   }
   if (registry_ != nullptr && slicers_.size() > kMaxInstrumentedGroups) {
-    if (obs::Gauge* g = registry_->GetGauge("group.metrics_truncated", {},
-                                            "groups")) {
-      g->Set(static_cast<int64_t>(slicers_.size() - kMaxInstrumentedGroups));
-    }
+    registry_->GetGauge("group.metrics_truncated", {}, "groups")
+        ->Set(static_cast<int64_t>(slicers_.size() - kMaxInstrumentedGroups));
   }
   if (gov_ != nullptr && registry_ != nullptr) {
     gov_->AttachMetrics(registry_, {});

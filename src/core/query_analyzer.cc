@@ -62,9 +62,8 @@ void RegisterGroupMetrics(const QueryGroup& group,
                           obs::MetricsRegistry* registry) {
   if (registry == nullptr) return;
   const obs::Labels labels = {{"group", std::to_string(group.id)}};
-  // Null-guarded: the DESIS_OBS=OFF stub registry hands out null gauges.
   auto set = [&](const char* name, const char* unit, int64_t v) {
-    if (obs::Gauge* g = registry->GetGauge(name, labels, unit)) g->Set(v);
+    registry->GetGauge(name, labels, unit)->Set(v);
   };
   set("group.queries", "queries", static_cast<int64_t>(group.queries.size()));
   set("group.operators", "operators", OperatorCount(group.mask));

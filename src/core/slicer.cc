@@ -645,15 +645,11 @@ void StreamSlicer::set_metrics(obs::MetricsRegistry* registry) {
   events_in_counter_ =
       registry->GetCounter("group.events_in", labels, "events");
   queries_gauge_ = registry->GetGauge("group.queries", labels, "queries");
-  if (queries_gauge_ != nullptr) {
-    queries_gauge_->Set(static_cast<int64_t>(active_queries()));
-  }
+  queries_gauge_->Set(static_cast<int64_t>(active_queries()));
   sketch_gauge_ = registry->GetGauge("engine.sketch_lanes", labels, "lanes");
-  if (sketch_gauge_ != nullptr) {
-    int64_t sketch_lanes = 0;
-    for (const uint8_t s : lane_sketch_) sketch_lanes += s;
-    sketch_gauge_->Set(sketch_lanes);
-  }
+  int64_t sketch_lanes = 0;
+  for (const uint8_t s : lane_sketch_) sketch_lanes += s;
+  sketch_gauge_->Set(sketch_lanes);
   for (int k = 0; k < kNumOperatorKinds; ++k) {
     const auto kind = static_cast<OperatorKind>(k);
     if (!MaskHas(group_.mask, kind)) continue;

@@ -394,7 +394,7 @@ class StreamSlicer : public mem::SpillClient {
   obs::FlightRecorder* flight_ = nullptr;
   uint32_t obs_node_id_ = 0;
   uint8_t obs_role_ = obs::kSpanRoleEngine;
-  // Cost-attribution handles (null when detached / DESIS_OBS=OFF); indexed
+  // Cost-attribution handles (null when detached); indexed
   // by OperatorKind, null for operators outside the group mask.
   obs::Counter* events_in_counter_ = nullptr;
   obs::Counter* op_eval_counters_[kNumOperatorKinds] = {};

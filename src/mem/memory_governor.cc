@@ -92,9 +92,7 @@ void MemoryGovernor::AttachMetrics(obs::MetricsRegistry* registry,
       registry->GetCounter("engine.spill_bytes", labels, "bytes");
   restores_counter_ =
       registry->GetCounter("engine.spill_restores", labels, "restores");
-  if (resident_gauge_ != nullptr) {
-    resident_gauge_->Set(static_cast<int64_t>(resident_));
-  }
+  resident_gauge_->Set(static_cast<int64_t>(resident_));
 }
 
 }  // namespace desis::mem

@@ -21,7 +21,8 @@ std::string ChaosResultLog::Canonical() const {
     std::memcpy(&bits, &r.value, sizeof(bits));
     char buf[128];
     std::snprintf(buf, sizeof(buf),
-                  "q%u [%" PRId64 ",%" PRId64 ") v=%016" PRIx64 " n=%" PRIu64,
+                  "q%" PRIu64 " [%" PRId64 ",%" PRId64 ") v=%016" PRIx64
+                  " n=%" PRIu64,
                   r.query_id, r.window_start, r.window_end, bits,
                   r.event_count);
     lines.emplace_back(buf);

@@ -338,11 +338,12 @@ std::vector<obs::NodeProbe> Cluster::ProbeHealth() const {
 
 void Cluster::OnWatchdogAnomaly(obs::AnomalyKind kind, uint32_t node_id) {
   if (obs_registry_ != nullptr) {
-    obs::Counter* counter = obs_registry_->GetCounter(
-        "health.anomalies",
-        {{"kind", obs::AnomalyName(kind)}, {"node", std::to_string(node_id)}},
-        "anomalies");
-    if (counter != nullptr) counter->Add();
+    obs_registry_
+        ->GetCounter("health.anomalies",
+                     {{"kind", obs::AnomalyName(kind)},
+                      {"node", std::to_string(node_id)}},
+                     "anomalies")
+        ->Add();
   }
   {
     std::lock_guard<std::mutex> lock(flights_mu_);

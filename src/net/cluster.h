@@ -68,7 +68,7 @@ struct ClusterOptions {
   /// anomalies (health.anomalies{kind,node}). With `auto_recover` it
   /// detects silent intermediates from their frozen heartbeats and invokes
   /// RecoverSilentIntermediates without any driver involvement. Off by
-  /// default; inert (no thread) under -DDESIS_OBS=OFF.
+  /// default.
   obs::WatchdogOptions watchdog;
 };
 
@@ -294,7 +294,7 @@ class Cluster {
   std::vector<std::string> DumpFlightRecorders(const std::string& dir,
                                                const std::string& reason) const;
 
-  /// Watchdog counters (0 when the watchdog is disabled or OBS is off).
+  /// Watchdog counters (0 when the watchdog is disabled).
   uint64_t watchdog_samples() const;
   uint64_t watchdog_anomalies() const;
   uint64_t watchdog_auto_recoveries() const;

@@ -1,6 +1,5 @@
 #include "obs/flight_recorder.h"
 
-#include <chrono>
 #include <cinttypes>
 #include <cstdio>
 #include <mutex>
@@ -88,15 +87,7 @@ void NotifyFlightFailure(const std::string& reason) {
   if (hook) hook(reason);
 }
 
-#if DESIS_OBS_ENABLED
-
 namespace {
-
-int64_t NowNs() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 void AppendEventJson(std::string& out, const FlightEvent& e) {
   char buf[288];
@@ -112,55 +103,22 @@ void AppendEventJson(std::string& out, const FlightEvent& e) {
 
 }  // namespace
 
-struct FlightRecorder::Slot {
-  RelaxedU64 seq;  // ticket + 1 of the last completed write; 0 = never
-  // Per-field relaxed cells so ring-wrap aliasing tears per field instead
-  // of racing on plain memory; the seq check in Snapshot() discards torn
-  // slots (see SliceTracer::Slot).
-  RelaxedU64 kind;
-  RelaxedU64 a;
-  RelaxedU64 b;
-  RelaxedI64 virtual_ts;
-  RelaxedI64 real_ns;
-};
-
-FlightRecorder::FlightRecorder(size_t capacity)
-    : capacity_(capacity == 0 ? 1 : capacity),
-      slots_(new Slot[capacity == 0 ? 1 : capacity]) {}
-
-FlightRecorder::~FlightRecorder() { delete[] slots_; }
-
 void FlightRecorder::Record(FlightEventKind kind, uint64_t a, uint64_t b,
                             Timestamp virtual_ts) {
-  const uint64_t ticket = head_++;
-  if (event_counter_ != nullptr) event_counter_->Add();
-  if (ticket >= capacity_ && drop_counter_ != nullptr) drop_counter_->Add();
-  Slot& slot = slots_[ticket % capacity_];
-  slot.kind.store(static_cast<uint64_t>(kind));
-  slot.a.store(a);
-  slot.b.store(b);
-  slot.virtual_ts.store(virtual_ts);
-  slot.real_ns.store(NowNs());
-  slot.seq.store(ticket + 1);
+  ring_.Push({static_cast<uint64_t>(kind), a, b, virtual_ts, SteadyNowNs()});
 }
 
 std::vector<FlightEvent> FlightRecorder::Snapshot() const {
-  const uint64_t head = head_.load();
-  const uint64_t n = head < capacity_ ? head : capacity_;
   std::vector<FlightEvent> out;
-  out.reserve(n);
-  for (uint64_t t = head - n; t < head; ++t) {
-    const Slot& slot = slots_[t % capacity_];
-    if (slot.seq.load() != t + 1) continue;  // torn by a ring wrap
-    FlightEvent e;
-    e.kind = static_cast<FlightEventKind>(slot.kind.load());
+  for (const PackedEvent& p : ring_.Snapshot()) {
+    FlightEvent& e = out.emplace_back();
+    e.kind = static_cast<FlightEventKind>(p.kind);
     e.node_id = node_id_;
     e.role = role_;
-    e.a = slot.a.load();
-    e.b = slot.b.load();
-    e.virtual_ts = slot.virtual_ts.load();
-    e.real_ns = slot.real_ns.load();
-    out.push_back(e);
+    e.a = p.a;
+    e.b = p.b;
+    e.virtual_ts = p.virtual_ts;
+    e.real_ns = p.real_ns;
   }
   return out;
 }
@@ -185,25 +143,11 @@ std::string FlightRecorder::DumpJson(const std::string& reason) const {
                 "\"capacity\":%zu,\"recorded\":%" PRIu64
                 ",\"dropped\":%" PRIu64 "},\"events\":",
                 node_id_, SpanRoleName(role_), JsonEscape(reason).c_str(),
-                capacity_, recorded(), dropped());
+                capacity(), recorded(), dropped());
   std::string out = buf;
   out += ToJson();
   out += "}";
   return out;
 }
-
-#else  // !DESIS_OBS_ENABLED ------------------------------------------------
-
-std::string FlightRecorder::DumpJson(const std::string& reason) const {
-  char buf[224];
-  std::snprintf(buf, sizeof(buf),
-                "{\"node\":%" PRIu32
-                ",\"role\":\"%s\",\"reason\":\"%s\",\"recorder\":{"
-                "\"capacity\":0,\"recorded\":0,\"dropped\":0},\"events\":[]}",
-                node_id_, SpanRoleName(role_), JsonEscape(reason).c_str());
-  return buf;
-}
-
-#endif  // DESIS_OBS_ENABLED
 
 }  // namespace desis::obs

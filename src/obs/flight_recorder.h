@@ -1,5 +1,5 @@
-#ifndef DESIS_OBS_FLIGHT_RECORDER_H_
-#define DESIS_OBS_FLIGHT_RECORDER_H_
+#ifndef DESIS_SRC_OBS_FLIGHT_RECORDER_H_
+#define DESIS_SRC_OBS_FLIGHT_RECORDER_H_
 
 #include <cstdint>
 #include <functional>
@@ -7,8 +7,8 @@
 #include <vector>
 
 #include "common/event.h"
-#include "obs/metrics.h"  // DESIS_OBS_ENABLED + JsonEscape
-#include "obs/relaxed_cell.h"
+#include "obs/event_ring.h"
+#include "obs/metrics.h"
 
 namespace desis::obs {
 
@@ -87,31 +87,26 @@ struct FlightEvent {
 /// Process-wide failure hook: chaos-harness violations, RootAssembler
 /// invariant breaks, and SUSPECT-grade watchdog anomalies call
 /// NotifyFlightFailure(reason); whoever owns the recorders (Cluster)
-/// registers a hook that dumps every ring to disk. Compiled in both OBS
-/// flavors (the OFF build just dumps empty rings); pass nullptr to clear.
+/// registers a hook that dumps every ring to disk; pass nullptr to clear.
 /// The hook is copied out under a mutex and invoked outside it, so a hook
 /// may itself log or take cluster locks.
 void SetFlightFailureHook(std::function<void(const std::string&)> hook);
 void NotifyFlightFailure(const std::string& reason);
 
-#if DESIS_OBS_ENABLED
-
-/// Per-node black-box ring of FlightEvents: same lock-free ticket ring as
-/// SliceTracer (relaxed fetch_add ticket + per-field relaxed cells + seq
-/// publish; Snapshot drops torn slots), sized small enough to stay hot in
+/// Per-node black-box ring of FlightEvents on an EventRing (the same
+/// lock-free ticket ring as SliceTracer), sized small enough to stay hot in
 /// cache but deep enough to hold the minutes leading up to a fault. The
-/// node identity is fixed once at wiring time so Record() stays a
-/// three-word call on the ingest path. Aggregate counters are always safe
-/// to read; payload snapshots want quiescence, but a torn slot degrades to
-/// a skipped event, never UB — good enough for a post-crash dump.
+/// node identity is fixed once at wiring time and kept per ring, not per
+/// slot, so Record() stays a three-word call on the ingest path. Aggregate
+/// counters are always safe to read; payload snapshots want quiescence,
+/// but a torn slot degrades to a skipped event, never UB — good enough for
+/// a post-crash dump.
 class FlightRecorder {
  public:
   static constexpr size_t kDefaultCapacity = 4096;
 
-  explicit FlightRecorder(size_t capacity = kDefaultCapacity);
-  FlightRecorder(const FlightRecorder&) = delete;
-  FlightRecorder& operator=(const FlightRecorder&) = delete;
-  ~FlightRecorder();
+  explicit FlightRecorder(size_t capacity = kDefaultCapacity)
+      : ring_(capacity) {}
 
   /// Fixes the owning node's identity stamped on every event. Call once
   /// at wiring time, before any Record().
@@ -125,19 +120,15 @@ class FlightRecorder {
   /// Mirrors Record()s / ring overwrites into registry counters
   /// (recorder.events / recorder.dropped). Null detaches either.
   void set_counters(Counter* events, Counter* dropped) {
-    event_counter_ = events;
-    drop_counter_ = dropped;
+    ring_.set_counters(events, dropped);
   }
 
   void Record(FlightEventKind kind, uint64_t a, uint64_t b,
               Timestamp virtual_ts);
 
-  size_t capacity() const { return capacity_; }
-  uint64_t recorded() const { return head_.load(); }
-  uint64_t dropped() const {
-    const uint64_t n = recorded();
-    return n > capacity_ ? n - capacity_ : 0;
-  }
+  size_t capacity() const { return ring_.capacity(); }
+  uint64_t recorded() const { return ring_.recorded(); }
+  uint64_t dropped() const { return ring_.dropped(); }
 
   /// The retained events, oldest first (see class comment on tearing).
   std::vector<FlightEvent> Snapshot() const;
@@ -152,45 +143,22 @@ class FlightRecorder {
   std::string DumpJson(const std::string& reason) const;
 
  private:
-  struct Slot;
+  /// An event without its node identity, packed into five words.
+  struct PackedEvent {
+    uint64_t kind;
+    uint64_t a;
+    uint64_t b;
+    int64_t virtual_ts;
+    int64_t real_ns;
+  };
+  static_assert(EventRing<PackedEvent>::kSlotBytes <= 48,
+                "a recorder slot is six words");
 
-  const size_t capacity_;
-  Slot* slots_;
-  RelaxedU64 head_;
-  uint32_t node_id_ = 0;
-  uint8_t role_ = 255;
-  Counter* event_counter_ = nullptr;
-  Counter* drop_counter_ = nullptr;
-};
-
-#else  // !DESIS_OBS_ENABLED ------------------------------------------------
-
-class FlightRecorder {
- public:
-  static constexpr size_t kDefaultCapacity = 0;
-  explicit FlightRecorder(size_t = 0) {}
-  void set_identity(uint32_t node_id, uint8_t role) {
-    node_id_ = node_id;
-    role_ = role;
-  }
-  uint32_t node_id() const { return node_id_; }
-  uint8_t role() const { return role_; }
-  void set_counters(Counter*, Counter*) {}
-  void Record(FlightEventKind, uint64_t, uint64_t, Timestamp) {}
-  size_t capacity() const { return 0; }
-  uint64_t recorded() const { return 0; }
-  uint64_t dropped() const { return 0; }
-  std::vector<FlightEvent> Snapshot() const { return {}; }
-  std::string ToJson() const { return "[]"; }
-  std::string DumpJson(const std::string& reason) const;
-
- private:
+  EventRing<PackedEvent> ring_;
   uint32_t node_id_ = 0;
   uint8_t role_ = 255;
 };
-
-#endif  // DESIS_OBS_ENABLED
 
 }  // namespace desis::obs
 
-#endif  // DESIS_OBS_FLIGHT_RECORDER_H_
+#endif  // DESIS_SRC_OBS_FLIGHT_RECORDER_H_

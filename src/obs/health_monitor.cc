@@ -1,7 +1,5 @@
 #include "obs/health_monitor.h"
 
-#if DESIS_OBS_ENABLED
-
 #include <chrono>
 #include <utility>
 
@@ -209,5 +207,3 @@ void HealthMonitor::SampleOnce() {
 }
 
 }  // namespace desis::obs
-
-#endif  // DESIS_OBS_ENABLED

@@ -1,8 +1,12 @@
-#ifndef DESIS_OBS_HEALTH_MONITOR_H_
-#define DESIS_OBS_HEALTH_MONITOR_H_
+#ifndef DESIS_SRC_OBS_HEALTH_MONITOR_H_
+#define DESIS_SRC_OBS_HEALTH_MONITOR_H_
 
+#include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
+#include <mutex>
+#include <thread>
 #include <vector>
 
 #include "common/event.h"
@@ -10,18 +14,9 @@
 #include "obs/metrics.h"
 #include "obs/relaxed_cell.h"
 
-#if DESIS_OBS_ENABLED
-#include <atomic>
-#include <condition_variable>
-#include <mutex>
-#include <thread>
-#endif
-
 namespace desis::obs {
 
-/// Watchdog configuration, embedded as ClusterOptions::watchdog. Plain
-/// data in both OBS flavors so cluster code is flavor-free; with
-/// DESIS_OBS=OFF the monitor below is a stub and `enabled` is inert.
+/// Watchdog configuration, embedded as ClusterOptions::watchdog.
 struct WatchdogOptions {
   bool enabled = false;
   /// Real-time sampling period of the background thread (ms). <= 0 keeps
@@ -69,8 +64,6 @@ struct WatchdogHooks {
   std::function<void(AnomalyKind, uint32_t)> on_anomaly;
   std::function<bool(Timestamp)> recover;
 };
-
-#if DESIS_OBS_ENABLED
 
 /// Background health watchdog: every period it publishes health gauges
 /// (sample_health), probes per-node liveness cells, and runs four typed
@@ -155,22 +148,6 @@ class HealthMonitor {
   RelaxedU64 auto_recoveries_;
 };
 
-#else  // !DESIS_OBS_ENABLED ------------------------------------------------
-
-class HealthMonitor {
- public:
-  HealthMonitor(const WatchdogOptions&, WatchdogHooks) {}
-  void Start() {}
-  void Stop() {}
-  bool running() const { return false; }
-  void TickForTest() {}
-  uint64_t samples() const { return 0; }
-  uint64_t anomalies() const { return 0; }
-  uint64_t auto_recoveries() const { return 0; }
-};
-
-#endif  // DESIS_OBS_ENABLED
-
 }  // namespace desis::obs
 
-#endif  // DESIS_OBS_HEALTH_MONITOR_H_
+#endif  // DESIS_SRC_OBS_HEALTH_MONITOR_H_

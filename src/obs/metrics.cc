@@ -34,8 +34,6 @@ std::string JsonEscape(const std::string& s) {
   return out;
 }
 
-#if DESIS_OBS_ENABLED
-
 // ------------------------------------------------------------- histogram --
 
 uint32_t Histogram::BucketFor(uint64_t v) {
@@ -290,7 +288,5 @@ std::string MetricsRegistry::ToCsv() const {
   }
   return out;
 }
-
-#endif  // DESIS_OBS_ENABLED
 
 }  // namespace desis::obs

@@ -1,5 +1,5 @@
-#ifndef DESIS_OBS_METRICS_H_
-#define DESIS_OBS_METRICS_H_
+#ifndef DESIS_SRC_OBS_METRICS_H_
+#define DESIS_SRC_OBS_METRICS_H_
 
 #include <cstdint>
 #include <string>
@@ -8,21 +8,12 @@
 
 #include "obs/relaxed_cell.h"
 
-/// Compile-time observability switch. Built with -DDESIS_OBS=OFF (CMake
-/// option), every registry lookup returns nullptr and the instrumentation
-/// call sites — which all guard on the handle — compile down to nothing.
-#ifndef DESIS_OBS_ENABLED
-#define DESIS_OBS_ENABLED 1
-#endif
-
 namespace desis::obs {
 
 /// Metric labels, in registration order ({{"node","3"},{"role","local"}}).
 /// Two metrics are the same series iff name and the full ordered label list
 /// match. The schema contract for every metric lives in docs/METRICS.md.
 using Labels = std::vector<std::pair<std::string, std::string>>;
-
-#if DESIS_OBS_ENABLED
 
 /// Monotonic counter. Add() is a single relaxed fetch_add — safe from any
 /// thread, no allocation, no lock.
@@ -121,63 +112,10 @@ class MetricsRegistry {
   mutable Impl* impl_ = nullptr;
 };
 
-#else  // !DESIS_OBS_ENABLED ------------------------------------------------
-
-// Stubs: same surface, zero storage, no-op methods. Registry lookups
-// return nullptr so guarded call sites (`if (handle) handle->...`) vanish.
-
-class Counter {
- public:
-  void Add(uint64_t = 1) {}
-  uint64_t value() const { return 0; }
-};
-
-class Gauge {
- public:
-  void Set(int64_t) {}
-  void Add(int64_t) {}
-  void StoreMax(int64_t) {}
-  int64_t value() const { return 0; }
-};
-
-class Histogram {
- public:
-  static constexpr uint32_t kSubBits = 4;
-  static constexpr uint32_t kNumBuckets = 1;
-  void Record(int64_t) {}
-  uint64_t count() const { return 0; }
-  uint64_t sum() const { return 0; }
-  uint64_t min() const { return 0; }
-  uint64_t max() const { return 0; }
-  double Quantile(double) const { return 0; }
-};
-
-class MetricsRegistry {
- public:
-  Counter* GetCounter(const std::string&, Labels = {},
-                      const std::string& = "") {
-    return nullptr;
-  }
-  Gauge* GetGauge(const std::string&, Labels = {}, const std::string& = "") {
-    return nullptr;
-  }
-  Histogram* GetHistogram(const std::string&, Labels = {},
-                          const std::string& = "") {
-    return nullptr;
-  }
-  size_t size() const { return 0; }
-  std::string ToJson() const { return "{\"metrics\":[]}"; }
-  std::string ToCsv() const {
-    return "name,labels,type,unit,value,count,sum,min,max,p50,p95,p99\n";
-  }
-};
-
-#endif  // DESIS_OBS_ENABLED
-
 /// Escapes a string for embedding in a JSON string literal (quotes,
 /// backslashes, control characters). Shared by every obs exporter.
 std::string JsonEscape(const std::string& s);
 
 }  // namespace desis::obs
 
-#endif  // DESIS_OBS_METRICS_H_
+#endif  // DESIS_SRC_OBS_METRICS_H_

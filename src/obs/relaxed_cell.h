@@ -1,5 +1,5 @@
-#ifndef DESIS_OBS_RELAXED_CELL_H_
-#define DESIS_OBS_RELAXED_CELL_H_
+#ifndef DESIS_SRC_OBS_RELAXED_CELL_H_
+#define DESIS_SRC_OBS_RELAXED_CELL_H_
 
 #include <atomic>
 #include <cstdint>
@@ -74,4 +74,4 @@ using RelaxedI64 = RelaxedCell<int64_t>;
 
 }  // namespace desis::obs
 
-#endif  // DESIS_OBS_RELAXED_CELL_H_
+#endif  // DESIS_SRC_OBS_RELAXED_CELL_H_

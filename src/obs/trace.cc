@@ -1,7 +1,6 @@
 #include "obs/trace.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cinttypes>
 #include <cstdio>
 
@@ -116,15 +115,7 @@ std::string ChromeTraceFromSpans(std::vector<SliceSpan> spans) {
   return out;
 }
 
-#if DESIS_OBS_ENABLED
-
 namespace {
-
-int64_t NowNs() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 void AppendSpanJson(std::string& out, const SliceSpan& s) {
   char buf[320];
@@ -140,63 +131,28 @@ void AppendSpanJson(std::string& out, const SliceSpan& s) {
 
 }  // namespace
 
-struct SliceTracer::Slot {
-  RelaxedU64 seq;  // ticket + 1 of the last completed write; 0 = never
-  // Span payload as individual relaxed cells: two Record() calls whose
-  // tickets alias one slot (ring wrap) interleave per-field instead of
-  // racing on plain memory; the seq check in Snapshot() discards such torn
-  // slots. Small fields are packed to keep the slot compact.
-  RelaxedU64 slice_id;
-  RelaxedU64 query_id;
-  RelaxedU64 group_and_node;  // group_id << 32 | node_id
-  RelaxedU64 role_and_phase;  // role << 8 | phase
-  RelaxedI64 virtual_ts;
-  RelaxedI64 real_ns;
-};
-
-SliceTracer::SliceTracer(size_t capacity)
-    : capacity_(capacity == 0 ? 1 : capacity),
-      slots_(new Slot[capacity == 0 ? 1 : capacity]) {}
-
-SliceTracer::~SliceTracer() { delete[] slots_; }
-
 void SliceTracer::Record(SlicePhase phase, uint64_t slice_id,
                          uint32_t group_id, uint64_t query_id,
                          uint32_t node_id, uint8_t role,
                          Timestamp virtual_ts) {
-  const uint64_t ticket = head_++;
-  if (ticket >= capacity_ && drop_counter_ != nullptr) drop_counter_->Add();
-  Slot& slot = slots_[ticket % capacity_];
-  slot.slice_id.store(slice_id);
-  slot.query_id.store(query_id);
-  slot.group_and_node.store(static_cast<uint64_t>(group_id) << 32 | node_id);
-  slot.role_and_phase.store(static_cast<uint64_t>(role) << 8 |
-                            static_cast<uint64_t>(phase));
-  slot.virtual_ts.store(virtual_ts);
-  slot.real_ns.store(NowNs());
-  slot.seq.store(ticket + 1);
+  ring_.Push({slice_id, query_id,
+              static_cast<uint64_t>(group_id) << 32 | node_id,
+              static_cast<uint64_t>(role) << 8 | static_cast<uint64_t>(phase),
+              virtual_ts, SteadyNowNs()});
 }
 
 std::vector<SliceSpan> SliceTracer::Snapshot() const {
-  const uint64_t head = head_.load();
-  const uint64_t n = head < capacity_ ? head : capacity_;
   std::vector<SliceSpan> out;
-  out.reserve(n);
-  for (uint64_t t = head - n; t < head; ++t) {
-    const Slot& slot = slots_[t % capacity_];
-    if (slot.seq.load() != t + 1) continue;  // torn by a ring wrap
-    SliceSpan span;
-    span.slice_id = slot.slice_id.load();
-    span.query_id = slot.query_id.load();
-    const uint64_t gn = slot.group_and_node.load();
-    span.group_id = static_cast<uint32_t>(gn >> 32);
-    span.node_id = static_cast<uint32_t>(gn);
-    const uint64_t rp = slot.role_and_phase.load();
-    span.role = static_cast<uint8_t>(rp >> 8);
-    span.phase = static_cast<SlicePhase>(rp & 0xff);
-    span.virtual_ts = slot.virtual_ts.load();
-    span.real_ns = slot.real_ns.load();
-    out.push_back(span);
+  for (const PackedSpan& p : ring_.Snapshot()) {
+    SliceSpan& span = out.emplace_back();
+    span.slice_id = p.slice_id;
+    span.query_id = p.query_id;
+    span.group_id = static_cast<uint32_t>(p.group_and_node >> 32);
+    span.node_id = static_cast<uint32_t>(p.group_and_node);
+    span.role = static_cast<uint8_t>(p.role_and_phase >> 8);
+    span.phase = static_cast<SlicePhase>(p.role_and_phase & 0xff);
+    span.virtual_ts = p.virtual_ts;
+    span.real_ns = p.real_ns;
   }
   return out;
 }
@@ -246,7 +202,5 @@ std::string MergeTraces(const std::vector<const SliceTracer*>& tracers) {
   }
   return ChromeTraceFromSpans(std::move(spans));
 }
-
-#endif  // DESIS_OBS_ENABLED
 
 }  // namespace desis::obs

@@ -1,13 +1,13 @@
-#ifndef DESIS_OBS_TRACE_H_
-#define DESIS_OBS_TRACE_H_
+#ifndef DESIS_SRC_OBS_TRACE_H_
+#define DESIS_SRC_OBS_TRACE_H_
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "common/event.h"
-#include "obs/metrics.h"  // DESIS_OBS_ENABLED + JsonEscape
-#include "obs/relaxed_cell.h"
+#include "obs/event_ring.h"
+#include "obs/metrics.h"
 
 namespace desis::obs {
 
@@ -75,27 +75,21 @@ struct SliceSpan {
 /// per-pid async ids), this emits process_name metadata per node and keys
 /// every slice phase with a *global* async id ("g<group>.s<slice>") so one
 /// slice's life lines up across local -> intermediate -> root processes,
-/// retransmits included. Available with DESIS_OBS=OFF too (pure data
-/// transform; desis-inspect uses it on parsed sidecar spans).
+/// retransmits included. A pure data transform: desis-inspect uses it on
+/// parsed sidecar spans.
 std::string ChromeTraceFromSpans(std::vector<SliceSpan> spans);
 
-#if DESIS_OBS_ENABLED
-
-/// Bounded lock-free ring buffer of slice-lifecycle spans. Record() is a
-/// relaxed ticket fetch_add plus a slot write — no allocation, no lock —
-/// and safe from any thread; once full, the oldest spans are overwritten
-/// (`dropped()` counts them). Snapshot()/exporters must only run when no
-/// Record() is in flight (after `Cluster::Drain()` / engine quiescence):
-/// the aggregate counters (`recorded()`, `dropped()`) are always safe to
-/// read, the span payloads are not synchronized against in-flight writers.
+/// Bounded lock-free ring of slice-lifecycle spans (an EventRing): Record()
+/// is safe from any thread, takes no lock and allocates nothing; once full,
+/// the oldest spans are overwritten (`dropped()` counts them).
+/// Snapshot()/exporters must only run when no Record() is in flight (after
+/// `Cluster::Drain()` / engine quiescence); the aggregate counters
+/// (`recorded()`, `dropped()`) are always safe to read.
 class SliceTracer {
  public:
   static constexpr size_t kDefaultCapacity = 16384;
 
-  explicit SliceTracer(size_t capacity = kDefaultCapacity);
-  SliceTracer(const SliceTracer&) = delete;
-  SliceTracer& operator=(const SliceTracer&) = delete;
-  ~SliceTracer();
+  explicit SliceTracer(size_t capacity = kDefaultCapacity) : ring_(capacity) {}
 
   void Record(SlicePhase phase, uint64_t slice_id, uint32_t group_id,
               uint64_t query_id, uint32_t node_id, uint8_t role,
@@ -104,15 +98,14 @@ class SliceTracer {
   /// Mirrors ring overwrites into a registry counter (trace.dropped_spans)
   /// so monitors see span loss without polling the tracer. Null detaches.
   /// One extra null-check + relaxed Add per overflowing Record().
-  void set_drop_counter(Counter* counter) { drop_counter_ = counter; }
-
-  size_t capacity() const { return capacity_; }
-  /// Spans ever recorded / overwritten by ring wrap-around.
-  uint64_t recorded() const { return head_.load(); }
-  uint64_t dropped() const {
-    const uint64_t n = recorded();
-    return n > capacity_ ? n - capacity_ : 0;
+  void set_drop_counter(Counter* counter) {
+    ring_.set_counters(nullptr, counter);
   }
+
+  size_t capacity() const { return ring_.capacity(); }
+  /// Spans ever recorded / overwritten by ring wrap-around.
+  uint64_t recorded() const { return ring_.recorded(); }
+  uint64_t dropped() const { return ring_.dropped(); }
 
   /// The retained spans, oldest first. Quiescence required (see above).
   std::vector<SliceSpan> Snapshot() const;
@@ -127,12 +120,19 @@ class SliceTracer {
   std::string ToChromeTrace() const;
 
  private:
-  struct Slot;
+  /// A span packed into six words; small fields share a word.
+  struct PackedSpan {
+    uint64_t slice_id;
+    uint64_t query_id;
+    uint64_t group_and_node;  // group_id << 32 | node_id
+    uint64_t role_and_phase;  // role << 8 | phase
+    int64_t virtual_ts;
+    int64_t real_ns;
+  };
+  static_assert(EventRing<PackedSpan>::kSlotBytes <= 56,
+                "a tracer slot is seven words");
 
-  const size_t capacity_;
-  Slot* slots_;
-  RelaxedU64 head_;
-  Counter* drop_counter_ = nullptr;
+  EventRing<PackedSpan> ring_;
 };
 
 /// Concatenates the retained spans of several tracers (e.g. one per bench
@@ -140,29 +140,6 @@ class SliceTracer {
 /// are skipped. Quiescence required, as for Snapshot().
 std::string MergeTraces(const std::vector<const SliceTracer*>& tracers);
 
-#else  // !DESIS_OBS_ENABLED ------------------------------------------------
-
-class SliceTracer {
- public:
-  static constexpr size_t kDefaultCapacity = 0;
-  explicit SliceTracer(size_t = 0) {}
-  void Record(SlicePhase, uint64_t, uint32_t, uint64_t, uint32_t, uint8_t,
-              Timestamp) {}
-  void set_drop_counter(Counter*) {}
-  size_t capacity() const { return 0; }
-  uint64_t recorded() const { return 0; }
-  uint64_t dropped() const { return 0; }
-  std::vector<SliceSpan> Snapshot() const { return {}; }
-  std::string ToJson() const { return "[]"; }
-  std::string ToChromeTrace() const { return "{\"traceEvents\":[]}"; }
-};
-
-inline std::string MergeTraces(const std::vector<const SliceTracer*>&) {
-  return "{\"traceEvents\":[]}";
-}
-
-#endif  // DESIS_OBS_ENABLED
-
 }  // namespace desis::obs
 
-#endif  // DESIS_OBS_TRACE_H_
+#endif  // DESIS_SRC_OBS_TRACE_H_

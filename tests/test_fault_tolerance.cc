@@ -216,6 +216,21 @@ ChaosRun RunChaos(const ChaosSchedule& schedule, const ChaosStreamConfig& cfg,
   return {log.Canonical(), cluster.StatsReport()};
 }
 
+TEST(ChaosResultLog, CanonicalKeepsFull64BitQueryIds) {
+  // Two queries whose ids share their low 32 bits are different windows;
+  // a canonical line that truncated the id would call the sets identical.
+  const WindowResult low{1, 0, 1000, 2.5, 3};
+  WindowResult high = low;
+  high.query_id = (1ull << 32) + 1;
+  ChaosResultLog a;
+  ChaosResultLog b;
+  a.Sink()(low);
+  b.Sink()(high);
+  EXPECT_NE(a.Canonical(), b.Canonical());
+  EXPECT_NE(b.Canonical().find("q4294967297 "), std::string::npos)
+      << b.Canonical();
+}
+
 TEST(ChaosHarness, IntermediateCrashLosesAndDuplicatesNothing) {
   ChaosStreamConfig cfg;
   cfg.end = 20'000;
@@ -424,13 +439,12 @@ TEST(ChaosHarness, ReattachAndReplaySpansLandInTheChromeTrace) {
       {ChaosAction::Kind::kReattachLocal, /*at_watermark=*/9'000, 1});
   ChaosRunner(&cluster, cfg).Run(schedule);
 
-  // Recovery happened regardless of the build flavor...
+  // Recovery happened...
   EXPECT_EQ(cluster.recovery_reattaches(), 1u);
   EXPECT_GT(cluster.recovery_replayed(), 0u);
-#if DESIS_OBS_ENABLED
-  // ...and with observability compiled in, its latency is visible per
-  // orphan: a reattach span for the re-elected child, replay spans for each
-  // re-sent slice, and the recovery.* metrics carry the aggregate counters.
+  // ...and its latency is visible per orphan: a reattach span for the
+  // re-elected child, replay spans for each re-sent slice, and the
+  // recovery.* metrics carry the aggregate counters.
   const std::string trace = tracer.ToChromeTrace();
   EXPECT_NE(trace.find("reattach"), std::string::npos);
   EXPECT_NE(trace.find("replay"), std::string::npos);
@@ -439,7 +453,6 @@ TEST(ChaosHarness, ReattachAndReplaySpansLandInTheChromeTrace) {
   EXPECT_NE(metrics.find("recovery.replayed_slices"), std::string::npos);
   EXPECT_NE(metrics.find("recovery.reattach_latency_us"), std::string::npos);
   EXPECT_NE(metrics.find("recovery.resend_buffer_bytes"), std::string::npos);
-#endif  // DESIS_OBS_ENABLED
 }
 
 TEST(ChaosHarness, RecoveryWorksOnInlineAndThreadedTransports) {

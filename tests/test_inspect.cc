@@ -1,8 +1,7 @@
 // The desis-inspect toolchain (tools/inspect_lib.h): JSON reader, group
 // cost / sharing-ratio extraction, the noise-aware sidecar diff that gates
 // CI perf regressions, run keying, history lines, and the span -> Chrome
-// trace round trip. Pure data transforms, so everything here runs
-// identically with DESIS_OBS=OFF.
+// trace round trip.
 
 #include <gtest/gtest.h>
 
@@ -368,6 +367,22 @@ TEST(InspectDiff, LegacyEngineShardsMetaStaysComparable) {
   EXPECT_TRUE(DiffSidecars(baseline, fresh, DiffOptions{}).comparable);
   const JsonValue bare = Parse(SidecarJson(100000, 4096));
   EXPECT_TRUE(DiffSidecars(bare, bare, DiffOptions{}).comparable);
+}
+
+TEST(InspectDiff, LegacyObsEnabledMetaStaysComparable) {
+  // Committed baselines still carry "obs_enabled":true, at the top level
+  // and in meta, from when observability could be compiled out; a new
+  // sidecar without either must diff against them.
+  JsonValue baseline = Parse(SidecarJson(100000, 4096));
+  JsonValue fresh = Parse(SidecarJson(100000, 4096));
+  baseline.object["meta"] = Parse(R"({"obs_enabled":true,"hw_threads":8})");
+  fresh.object.erase("obs_enabled");
+  fresh.object["meta"] = Parse(R"({"hw_threads":8})");
+  ASSERT_TRUE(baseline["obs_enabled"].boolean);
+  const DiffResult r = DiffSidecars(baseline, fresh, DiffOptions{});
+  EXPECT_TRUE(r.comparable);
+  EXPECT_GT(r.compared, 0u);
+  EXPECT_FALSE(r.HasRegression());
 }
 
 TEST(InspectDiff, DuplicateRunLabelsPairByOccurrence) {

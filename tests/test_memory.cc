@@ -498,7 +498,6 @@ TEST(MemoryEngine, SketchLaneApproximatesQuantilesWithTinyState) {
   EXPECT_LE(gov->peak_resident(), options.budget_bytes);
 }
 
-#if DESIS_OBS_ENABLED
 TEST(MemoryEngine, GovernedRunExportsMetricsAndSpans) {
   ScratchDir dir("obs");
   mem::MemoryOptions options;
@@ -531,7 +530,6 @@ TEST(MemoryEngine, GovernedRunExportsMetricsAndSpans) {
   EXPECT_TRUE(saw_spill);
   EXPECT_TRUE(saw_restore);
 }
-#endif  // DESIS_OBS_ENABLED
 
 // -------------------------------------------------------------- cluster --
 
@@ -581,19 +579,15 @@ TEST(MemoryCluster, GovernedDesisClusterMatchesUngoverned) {
   options.memory.min_spill_bytes = 4096;
   options.memory.spill_dir = dir.path;
   Cluster governed(ClusterSystem::kDesis, {2, 1}, options);
-#if DESIS_OBS_ENABLED
   obs::MetricsRegistry registry;
   obs::SliceTracer tracer(1 << 16);
   governed.AttachObs(&registry, &tracer);
-#endif
   ASSERT_TRUE(governed.Configure(queries).ok());
   const std::vector<WindowResult> results =
       RunCluster(governed, kClusterEvents);
   ExpectIdenticalResults(golden, results);
-#if DESIS_OBS_ENABLED
   EXPECT_NE(registry.ToJson().find("engine.bytes_resident"),
             std::string::npos);
-#endif
 }
 
 }  // namespace

@@ -28,6 +28,19 @@ TEST(Serde, PodRoundTrip) {
   EXPECT_TRUE(in.AtEnd());
 }
 
+TEST(Serde, EmptyPodVectorRoundTrips) {
+  // An empty vector's data() may be null; the codec must not hand it to
+  // memcpy (UB that UBSan reports) and must still frame the count.
+  ByteWriter out;
+  out.WritePodVector(std::vector<double>{});
+  out.WriteU8(9);
+  EXPECT_EQ(out.size(), 5u);
+  ByteReader in(out.bytes());
+  EXPECT_TRUE(in.ReadPodVector<double>().empty());
+  EXPECT_EQ(in.ReadU8(), 9);
+  EXPECT_TRUE(in.AtEnd());
+}
+
 TEST(Message, EventBatchIs24BytesPerEvent) {
   // The paper's centralized network overhead (~2.4 GB per 100M events,
   // Fig 11a) implies 24 bytes per event on the wire.

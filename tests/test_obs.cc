@@ -1,7 +1,6 @@
 // The observability subsystem: metrics registry export formats (golden
 // files + round-trip), log-scale histogram quantile accuracy, and the
-// slice-tracer ring buffer. Everything here must also pass with
-// DESIS_OBS=OFF, where the whole subsystem is compiled down to stubs.
+// slice-tracer ring buffer.
 
 #include <gtest/gtest.h>
 
@@ -133,8 +132,6 @@ bool IsValidJson(const std::string& text) {
   return JsonChecker(text).Valid();
 }
 
-#if DESIS_OBS_ENABLED
-
 std::string ReadFile(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   std::ostringstream out;
@@ -146,8 +143,6 @@ std::string GoldenPath(const char* name) {
   return std::string(DESIS_TEST_DATA_DIR) + "/golden/" + name;
 }
 
-#endif  // DESIS_OBS_ENABLED
-
 // A registry with one series of each type and deterministic contents; the
 // golden files pin the exact export bytes of this exact population.
 void PopulateGoldenRegistry(MetricsRegistry& registry) {
@@ -157,7 +152,6 @@ void PopulateGoldenRegistry(MetricsRegistry& registry) {
       registry.GetGauge("node.queue_hwm", {{"node", "3"}}, "messages");
   Histogram* latency = registry.GetHistogram("node.handler_latency_ns",
                                              {{"role", "local"}}, "ns");
-  if (events == nullptr) return;  // DESIS_OBS=OFF stubs
   events->Add(41);
   events->Add();
   hwm->StoreMax(7);
@@ -198,8 +192,6 @@ TEST(ObsMetrics, ExportsAreValidJsonAndCsv) {
   }
   (void)cols;
 }
-
-#if DESIS_OBS_ENABLED
 
 TEST(ObsMetrics, JsonMatchesGoldenFile) {
   MetricsRegistry registry;
@@ -266,8 +258,6 @@ TEST(ObsHistogram, BucketMappingIsMonotoneAndContinuous) {
   }
 }
 
-#endif  // DESIS_OBS_ENABLED
-
 // ----------------------------------------------------------------- trace --
 
 TEST(ObsTrace, ExportsAreValidJson) {
@@ -280,8 +270,6 @@ TEST(ObsTrace, ExportsAreValidJson) {
   EXPECT_TRUE(IsValidJson(tracer.ToJson())) << tracer.ToJson();
   EXPECT_TRUE(IsValidJson(tracer.ToChromeTrace())) << tracer.ToChromeTrace();
 }
-
-#if DESIS_OBS_ENABLED
 
 TEST(ObsTrace, RingKeepsNewestSpansOldestFirst) {
   SliceTracer tracer(8);
@@ -309,23 +297,6 @@ TEST(ObsTrace, ChromeTraceMapsLifecycleToAsyncEvents) {
   EXPECT_NE(trace.find("\"ph\":\"e\""), std::string::npos);
   EXPECT_NE(trace.find("\"traceEvents\""), std::string::npos);
 }
-
-#else  // !DESIS_OBS_ENABLED
-
-TEST(ObsStubs, EverythingIsInertWhenCompiledOut) {
-  MetricsRegistry registry;
-  EXPECT_EQ(registry.GetCounter("x"), nullptr);
-  EXPECT_EQ(registry.GetGauge("x"), nullptr);
-  EXPECT_EQ(registry.GetHistogram("x"), nullptr);
-  EXPECT_EQ(registry.size(), 0u);
-  EXPECT_TRUE(IsValidJson(registry.ToJson()));
-  SliceTracer tracer;
-  tracer.Record(SlicePhase::kSliceCreated, 1, 1, 0, 1, kSpanRoleLocal, 1);
-  EXPECT_EQ(tracer.recorded(), 0u);
-  EXPECT_TRUE(tracer.Snapshot().empty());
-}
-
-#endif  // DESIS_OBS_ENABLED
 
 }  // namespace
 }  // namespace desis::obs

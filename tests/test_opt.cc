@@ -229,7 +229,6 @@ TEST(OptExecution, FactoredPlanIsByteIdenticalAndMergesLess) {
   EXPECT_LT(opt_merges, base_merges);
 }
 
-#if DESIS_OBS_ENABLED
 TEST(OptExecution, LaneNarrowingMakesOperatorEvalsLaneAccurate) {
   // key=1 carries a sum query, key=2 a sum+count (average) query; 1000
   // events cycle keys 0..3 so each lane folds 250 events. The static
@@ -264,7 +263,6 @@ TEST(OptExecution, LaneNarrowingMakesOperatorEvalsLaneAccurate) {
   EXPECT_EQ(sum_evals->value(), 500u);    // both lanes carry sum
   EXPECT_EQ(count_evals->value(), 250u);  // only the average lane
 }
-#endif  // DESIS_OBS_ENABLED
 
 // ------------------------------------------------------------- group index --
 

@@ -44,12 +44,9 @@ std::vector<Event> OrderedEvents(size_t n, Timestamp step = 1) {
   return events;
 }
 
-#if DESIS_OBS_ENABLED
-
 uint64_t CounterValue(obs::MetricsRegistry& registry, const std::string& name,
                       obs::Labels labels, const std::string& unit) {
-  obs::Counter* c = registry.GetCounter(name, std::move(labels), unit);
-  return c != nullptr ? c->value() : 0;
+  return registry.GetCounter(name, std::move(labels), unit)->value();
 }
 
 // ------------------------------------------------------- cost attribution --
@@ -372,49 +369,6 @@ TEST(ClusterTraceCorrelation, RetransmitsKeepSliceIdentityUnderLossyLink) {
   }
   EXPECT_EQ(counted, retransmits);
 }
-
-#else  // !DESIS_OBS_ENABLED
-
-TEST(ClusterCostAttribution, StubRegistryKeepsEngineWorking) {
-  // With DESIS_OBS=OFF the registry hands out null handles; attaching one
-  // must not disturb processing.
-  DesisEngine engine;
-  obs::MetricsRegistry registry;
-  engine.set_metrics_registry(&registry);
-  ASSERT_TRUE(engine
-                  .Configure({MakeQuery(1, WindowSpec::Tumbling(100),
-                                        AggregationFunction::kSum),
-                              MakeQuery(2, WindowSpec::Tumbling(100),
-                                        AggregationFunction::kAverage)})
-                  .ok());
-  size_t results = 0;
-  engine.set_sink([&](const WindowResult&) { ++results; });
-  auto events = OrderedEvents(1000);
-  engine.IngestBatch(events.data(), events.size());
-  engine.AdvanceTo(2000);
-  EXPECT_GT(results, 0u);
-  EXPECT_EQ(registry.size(), 0u);
-}
-
-TEST(ClusterHealthGauges, StubClusterSamplingIsInert) {
-  obs::MetricsRegistry registry;
-  obs::SliceTracer tracer;
-  Cluster cluster(ClusterSystem::kDesis, {2, 1});
-  cluster.AttachObs(&registry, &tracer);
-  ASSERT_TRUE(cluster
-                  .Configure({MakeQuery(1, WindowSpec::Tumbling(100),
-                                        AggregationFunction::kSum)})
-                  .ok());
-  auto events = OrderedEvents(500);
-  cluster.IngestAt(0, events.data(), events.size());
-  cluster.Advance(1000);
-  cluster.Drain();
-  cluster.SampleHealth();
-  EXPECT_EQ(registry.size(), 0u);
-  EXPECT_EQ(tracer.recorded(), 0u);
-}
-
-#endif  // DESIS_OBS_ENABLED
 
 }  // namespace
 }  // namespace desis

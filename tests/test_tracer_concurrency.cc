@@ -24,8 +24,6 @@ void RecordMany(SliceTracer& tracer, uint32_t node, uint64_t count) {
   }
 }
 
-#if DESIS_OBS_ENABLED
-
 TEST(TracerConcurrency, OverflowCountsExactAndMirroredToRegistry) {
   constexpr size_t kCapacity = 1024;
   constexpr int kThreads = 4;
@@ -73,22 +71,6 @@ TEST(TracerConcurrency, NoDropsBelowCapacity) {
   // Below capacity nothing is overwritten or torn: all spans retained.
   EXPECT_EQ(tracer.Snapshot().size(), 4000u);
 }
-
-#else  // !DESIS_OBS_ENABLED
-
-TEST(TracerConcurrency, StubIsSafeFromManyThreads) {
-  SliceTracer tracer;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back(
-        [&tracer, t] { RecordMany(tracer, static_cast<uint32_t>(t), 1000); });
-  }
-  for (std::thread& th : threads) th.join();
-  EXPECT_EQ(tracer.recorded(), 0u);
-  EXPECT_TRUE(tracer.Snapshot().empty());
-}
-
-#endif  // DESIS_OBS_ENABLED
 
 }  // namespace
 }  // namespace desis::obs

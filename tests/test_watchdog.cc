@@ -33,8 +33,6 @@
 namespace desis {
 namespace {
 
-#if DESIS_OBS_ENABLED
-
 // ------------------------------------------------- detector semantics --
 
 /// A hand-driven topology: the test mutates `probes` between ticks and the
@@ -544,60 +542,6 @@ TEST(FlightRecorder, PostmortemRejectsNonDumpDocuments) {
   tools::FlightDump dump;
   EXPECT_FALSE(tools::FlightDumpFromJson(doc, &dump));
 }
-
-#else  // !DESIS_OBS_ENABLED ------------------------------------------------
-
-// The OFF flavor keeps the full class surface: a watchdog-enabled cluster
-// must configure, run, and report zeros — and the recorder stub must stay
-// trivially thread-safe.
-
-TEST(Watchdog, OffBuildKeepsWatchdogInert) {
-  ClusterOptions options;
-  options.recovery.enabled = true;
-  options.watchdog.enabled = true;
-  Cluster cluster(ClusterSystem::kDesis, {2, 1}, options);
-  Query q;
-  q.id = 1;
-  q.window = WindowSpec::Tumbling(1000);
-  q.agg = {AggregationFunction::kSum, 0};
-  ASSERT_TRUE(cluster.Configure({q}).ok());
-  EXPECT_FALSE(cluster.watchdog_running());
-  cluster.TickWatchdogForTest();  // no-op, must not crash
-  std::vector<Event> events;
-  for (Timestamp ts = 0; ts < 3000; ts += 10) events.push_back({ts, 0, 1, 0});
-  cluster.IngestAt(0, events.data(), events.size());
-  cluster.Advance(4000);
-  cluster.Drain();
-  EXPECT_EQ(cluster.watchdog_samples(), 0u);
-  EXPECT_EQ(cluster.watchdog_anomalies(), 0u);
-}
-
-TEST(FlightRecorder, StubIsSafeFromManyThreads) {
-  obs::FlightRecorder recorder;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&recorder] {
-      for (uint64_t i = 0; i < 1000; ++i) {
-        recorder.Record(obs::FlightEventKind::kWatermarkAdvance, i, 0,
-                        static_cast<Timestamp>(i));
-      }
-    });
-  }
-  for (std::thread& th : threads) th.join();
-  EXPECT_EQ(recorder.recorded(), 0u);
-  EXPECT_TRUE(recorder.Snapshot().empty());
-  // The stub still emits a valid (empty) dump document for postmortems.
-  tools::JsonValue doc;
-  std::string error;
-  ASSERT_TRUE(
-      tools::JsonParser::Parse(recorder.DumpJson("off_dump"), &doc, &error))
-      << error;
-  tools::FlightDump dump;
-  EXPECT_TRUE(tools::FlightDumpFromJson(doc, &dump));
-  EXPECT_TRUE(dump.events.empty());
-}
-
-#endif  // DESIS_OBS_ENABLED
 
 }  // namespace
 }  // namespace desis

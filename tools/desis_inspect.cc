@@ -89,7 +89,7 @@ int RunDiff(int argc, char** argv) {
   if (!result.comparable) {
     std::fprintf(stderr,
                  "desis_inspect: sidecars are not comparable "
-                 "(different bench, obs_enabled, or watchdog setting)\n");
+                 "(different bench or watchdog setting)\n");
     return 2;
   }
   std::fputs(desis::tools::FormatDiff(result, options).c_str(), stdout);

@@ -5,7 +5,7 @@
 // exactly what the CLI runs. Consumes the metrics sidecars written by
 // bench/harness.h (schema: docs/METRICS.md):
 //
-//   {"bench":..., "scale":..., "obs_enabled":..., "meta":{...},
+//   {"bench":..., "scale":..., "meta":{...},
 //    "runs":[{"run":label, "report":{...}, "spans":[...]}, ...]}
 //
 // Three views: a health/cost summary (per-group sharing ratios, per-node
@@ -174,8 +174,7 @@ inline std::vector<NodeHealthRow> ExtractHealth(const JsonValue& metrics) {
 
 /// Crash-recovery counters from the report's "recovery" section, present
 /// iff the run had recovery enabled (schema: docs/FAULT_TOLERANCE.md).
-/// Sourced from the report rather than the metrics registry so the view
-/// also works on DESIS_OBS=OFF sidecars.
+/// Sourced from the report rather than the metrics registry.
 struct RecoveryStat {
   bool present = false;
   double reattaches = 0;
@@ -502,7 +501,6 @@ inline DiffResult DiffSidecars(const JsonValue& before, const JsonValue& after,
                                const DiffOptions& options) {
   DiffResult result;
   if (before["bench"].AsString() != after["bench"].AsString() ||
-      before["obs_enabled"].boolean != after["obs_enabled"].boolean ||
       // A live watchdog thread samples (and locks) alongside the run;
       // comparing a watchdog-on run against a watchdog-off baseline would
       // report its overhead as a regression in the workload under test.
