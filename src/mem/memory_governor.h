@@ -37,9 +37,12 @@ class SpillClient {
 
 /// Tracks resident bytes of governed slice state against a budget and,
 /// when over, asks registered clients round-robin to shed until the budget
-/// holds or every client is dry. Single-threaded by design: each governor
-/// belongs to one engine (or one local node) and is only touched from its
-/// owner's ingest thread, so accounting is plain integer arithmetic.
+/// holds or every client is dry. Single-writer by design: each governor
+/// belongs to one engine (or one local node) and is only mutated from its
+/// owner's ingest thread, so accounting is plain integer arithmetic. The
+/// one exception is restores(): a cluster's health watchdog reads it from
+/// its own thread mid-run (spill-thrash detection), so that counter is a
+/// relaxed-atomic cell. Every other counter is read after the run.
 class MemoryGovernor {
  public:
   explicit MemoryGovernor(MemoryOptions options);
@@ -114,7 +117,7 @@ class MemoryGovernor {
   uint64_t peak_resident_ = 0;
   uint64_t spills_ = 0;
   uint64_t spill_bytes_ = 0;
-  uint64_t restores_ = 0;
+  obs::RelaxedU64 restores_;  // read by the watchdog probe
   uint64_t restore_bytes_ = 0;
 
   obs::Gauge* resident_gauge_ = nullptr;

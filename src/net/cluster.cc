@@ -54,15 +54,14 @@ void Cluster::set_transport(std::unique_ptr<Transport> transport) {
 }
 
 void Cluster::WireNode(Node* node) {
+  // Handles first: the transport may start the node's delivery worker.
+  node->AttachObs(obs_registry_, obs_tracer_);
   node->set_transport(transport_);
   transport_->AddNode(node);
-  if (obs_registry_ != nullptr || obs_tracer_ != nullptr) {
-    node->AttachObs(obs_registry_, obs_tracer_);
-  }
   // Every node gets a black-box flight recorder, owned here so dumps
   // survive whatever state the node is in when a failure fires. AttachObs
-  // ran first (when a registry is attached), so the recorder's counters
-  // register with the node's id/role labels.
+  // ran first, so the recorder's counters register with the node's id/role
+  // labels.
   auto flight = std::make_unique<obs::FlightRecorder>();
   node->AttachFlight(flight.get());
   std::lock_guard<std::mutex> lock(flights_mu_);
@@ -71,49 +70,61 @@ void Cluster::WireNode(Node* node) {
 
 void Cluster::AttachObs(obs::MetricsRegistry* registry,
                         obs::SliceTracer* tracer) {
-  obs_registry_ = registry;
+  obs_registry_ = registry != nullptr ? registry : &owned_registry_;
   obs_tracer_ = tracer;
-  results_counter_ = nullptr;
-  ingest_batch_hist_ = nullptr;
-  churn_add_hist_ = nullptr;
-  churn_remove_hist_ = nullptr;
-  reattach_counter_ = nullptr;
-  reattach_latency_hist_ = nullptr;
-  if (registry != nullptr) {
-    const obs::Labels labels = {{"system", ToString(system_)}};
-    results_counter_ = registry->GetCounter("cluster.results", labels,
-                                            "windows");
-    ingest_batch_hist_ =
-        registry->GetHistogram("cluster.ingest_batch_ns", labels, "ns");
-    churn_add_hist_ =
-        registry->GetHistogram("opt.group_churn_ns", {{"op", "add"}}, "ns");
-    churn_remove_hist_ =
-        registry->GetHistogram("opt.group_churn_ns", {{"op", "remove"}}, "ns");
-    if (options_.recovery.enabled) {
-      reattach_counter_ =
-          registry->GetCounter("recovery.reattaches", labels, "reattaches");
-      reattach_latency_hist_ =
-          registry->GetHistogram("recovery.reattach_latency_us", labels, "us");
-    }
-  }
-  if (tracer != nullptr) {
-    // Ring overwrites surface as a counter so span loss is visible in every
-    // export, not only to callers polling the tracer.
-    tracer->set_drop_counter(
-        registry != nullptr
-            ? registry->GetCounter("trace.dropped_spans", {}, "spans")
-            : nullptr);
-  }
+  if (!configured_) return;  // Configure registers the series
+  BindObs();
   for (const auto& node : nodes_) {
-    node->AttachObs(registry, tracer);
-    // Re-attach the flight recorder so its counters register now that the
-    // registry exists (AttachObs-after-Configure ordering).
-    if (node->flight() != nullptr) node->AttachFlight(node->flight());
+    node->AttachObs(obs_registry_, obs_tracer_);
+    // Re-attach the flight recorder so its counters move too.
+    node->AttachFlight(node->flight());
   }
 }
 
+void Cluster::BindObs() {
+  const obs::Labels labels = {{"system", ToString(system_)}};
+  results_counter_ =
+      obs_registry_->GetCounter("cluster.results", labels, "windows");
+  ingest_batch_hist_ =
+      obs_registry_->GetHistogram("cluster.ingest_batch_ns", labels, "ns");
+  churn_add_hist_ =
+      obs_registry_->GetHistogram("opt.group_churn_ns", {{"op", "add"}}, "ns");
+  churn_remove_hist_ = obs_registry_->GetHistogram("opt.group_churn_ns",
+                                                   {{"op", "remove"}}, "ns");
+  if (options_.recovery.enabled) {
+    reattach_counter_ =
+        obs_registry_->GetCounter("recovery.reattaches", labels, "reattaches");
+    reattach_latency_hist_ = obs_registry_->GetHistogram(
+        "recovery.reattach_latency_us", labels, "us");
+  }
+  if (obs_tracer_ != nullptr) {
+    // Ring overwrites surface as a counter so span loss is visible in every
+    // export, not only to callers polling the tracer. The tracer may
+    // outlive the cluster, so only a caller's registry backs it.
+    obs_tracer_->set_drop_counter(
+        obs_registry_ != &owned_registry_
+            ? obs_registry_->GetCounter("trace.dropped_spans", {}, "spans")
+            : nullptr);
+  }
+}
+
+uint64_t Cluster::results() const {
+  return configured_ ? results_counter_->value() : 0;
+}
+
+uint64_t Cluster::recovery_reattaches() const {
+  return configured_ && options_.recovery.enabled ? reattach_counter_->value()
+                                                  : 0;
+}
+
+uint64_t Cluster::recovery_replayed() const {
+  if (!options_.recovery.enabled) return 0;
+  uint64_t replayed = 0;
+  for (const auto& node : nodes_) replayed += node->replayed_slices();
+  return replayed;
+}
+
 void Cluster::SampleHealth() const {
-  if (obs_registry_ == nullptr) return;
   std::shared_lock<std::shared_mutex> lock(membership_mu_);
   for (const auto& node : nodes_) node->PublishHealth();
 }
@@ -138,12 +149,12 @@ Status Cluster::Configure(const std::vector<Query>& queries) {
     if (auto s = q.Validate(); !s.ok()) return s;
   }
 
+  BindObs();
   uint32_t next_id = 0;
   // Runs on the root's delivery worker under a threaded transport; the obs
   // sinks are lock-free so recording from there is safe.
   auto sink = [this](const WindowResult& r) {
-    ++results_;
-    if (results_counter_ != nullptr) results_counter_->Add();
+    results_counter_->Add();
     if (obs_tracer_ != nullptr) {
       obs_tracer_->Record(obs::SlicePhase::kWindowEmitted, /*slice_id=*/0,
                           /*group_id=*/0, r.query_id,
@@ -251,7 +262,7 @@ Status Cluster::Configure(const std::vector<Query>& queries) {
   }
   // Route every node through the transport (workers spin up here for
   // queue-based transports; setup above never sends). Recovery is enabled
-  // first: node-level recovery metrics and the root's stale counter
+  // first: node-level recovery series and the root's stale counter
   // register during the AttachObs inside WireNode.
   if (options_.recovery.enabled) {
     for (const auto& node : nodes_) node->EnableRecovery(options_.recovery);
@@ -310,7 +321,7 @@ std::vector<obs::NodeProbe> Cluster::ProbeHealth() const {
     p.recoverable = recoverable;
     p.heartbeats = node->health().heartbeats.load();
     p.watermark = node->health().watermark.load();
-    p.mailbox_depth = node->health().mailbox_depth.load();
+    p.mailbox_depth = node->mailbox_depth();
     return p;
   };
   for (size_t i = 0; i < locals_raw_.size(); ++i) {
@@ -337,14 +348,12 @@ std::vector<obs::NodeProbe> Cluster::ProbeHealth() const {
 }
 
 void Cluster::OnWatchdogAnomaly(obs::AnomalyKind kind, uint32_t node_id) {
-  if (obs_registry_ != nullptr) {
-    obs_registry_
-        ->GetCounter("health.anomalies",
-                     {{"kind", obs::AnomalyName(kind)},
-                      {"node", std::to_string(node_id)}},
-                     "anomalies")
-        ->Add();
-  }
+  obs_registry_
+      ->GetCounter("health.anomalies",
+                   {{"kind", obs::AnomalyName(kind)},
+                    {"node", std::to_string(node_id)}},
+                   "anomalies")
+      ->Add();
   {
     std::lock_guard<std::mutex> lock(flights_mu_);
     for (const auto& entry : flights_) {
@@ -545,14 +554,10 @@ int64_t Cluster::RecoveryNowUs() const {
 
 void Cluster::FinishRecoveryOp(int64_t t0_us) {
   transport_->Flush();
-  if (reattach_latency_hist_ != nullptr) {
-    reattach_latency_hist_->Record(RecoveryNowUs() - t0_us);
-  }
+  reattach_latency_hist_->Record(RecoveryNowUs() - t0_us);
   // Refresh the health gauges directly — membership_mu_ is already held
   // exclusively here, so SampleHealth()'s shared lock would self-deadlock.
-  if (obs_registry_ != nullptr) {
-    for (const auto& node : nodes_) node->PublishHealth();
-  }
+  for (const auto& node : nodes_) node->PublishHealth();
 }
 
 bool Cluster::IsDeadIntermediate(const Node* node) const {
@@ -616,7 +621,6 @@ void Cluster::ReattachOrphan(Node* orphan, Node* new_parent,
   transport_->ExecuteSync(new_parent, [new_parent, orphan] {
     new_parent->AttachChild(orphan);
   });
-  size_t replayed = 0;
   if (orphan->role() == NodeRole::kLocal) {
     // Serialize with the local's driver thread (ingest holds the same lock).
     std::mutex* mu = nullptr;
@@ -627,17 +631,15 @@ void Cluster::ReattachOrphan(Node* orphan, Node* new_parent,
       }
     }
     std::unique_lock<std::mutex> lock(*mu);
-    replayed = orphan->ReplayUnacked(frontiers);
+    orphan->ReplayUnacked(frontiers);
     orphan->ReAdvertiseWatermark();
   } else {
-    transport_->ExecuteSync(orphan, [orphan, &frontiers, &replayed] {
-      replayed = orphan->ReplayUnacked(frontiers);
+    transport_->ExecuteSync(orphan, [orphan, &frontiers] {
+      orphan->ReplayUnacked(frontiers);
       orphan->ReAdvertiseWatermark();
     });
   }
-  ++recovery_reattaches_;
-  recovery_replayed_ += replayed;
-  if (reattach_counter_ != nullptr) reattach_counter_->Add();
+  reattach_counter_->Add();
   if (orphan->flight() != nullptr) {
     orphan->flight()->Record(obs::FlightEventKind::kReattach, new_parent->id(),
                              old_parent != nullptr ? old_parent->id() : 0,
@@ -861,12 +863,10 @@ Status Cluster::AddQuery(const Query& query) {
                                                     active_from);
                             });
   }
-  if (churn_add_hist_ != nullptr) {
-    churn_add_hist_->Record(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count());
-  }
+  churn_add_hist_->Record(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - t0)
+          .count());
   if (root_raw_ != nullptr && root_raw_->flight() != nullptr) {
     root_raw_->flight()->Record(obs::FlightEventKind::kQueryAdd,
                                 static_cast<uint64_t>(query.id), placement.gid,
@@ -901,12 +901,10 @@ Status Cluster::RemoveQuery(QueryId id) {
     transport_->ExecuteSync(root_raw_,
                             [root, gid] { root->RemoveGroup(gid); });
   }
-  if (churn_remove_hist_ != nullptr) {
-    churn_remove_hist_->Record(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count());
-  }
+  churn_remove_hist_->Record(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - t0)
+          .count());
   if (root_raw_ != nullptr && root_raw_->flight() != nullptr) {
     root_raw_->flight()->Record(obs::FlightEventKind::kQueryRemove,
                                 static_cast<uint64_t>(id), gid, kNoTimestamp);
@@ -924,17 +922,13 @@ void Cluster::IngestAt(int local_idx, const Event* events, size_t count) {
   LocalIngest* local = locals_[i];
   std::mutex* mu = local_mu_[i].get();
   std::lock_guard<std::mutex> lock(*mu);
-  if (ingest_batch_hist_ != nullptr) {
-    // One steady_clock pair per batch — amortized over the whole span.
-    const auto t0 = std::chrono::steady_clock::now();
-    local->IngestBatch(events, count);
-    ingest_batch_hist_->Record(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count());
-    return;
-  }
+  // One steady_clock pair per batch — amortized over the whole span.
+  const auto t0 = std::chrono::steady_clock::now();
   local->IngestBatch(events, count);
+  ingest_batch_hist_->Record(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - t0)
+          .count());
 }
 
 void Cluster::Advance(Timestamp watermark) {
@@ -982,8 +976,7 @@ int64_t Cluster::MaxBusyNs() const {
 
 namespace {
 
-// Plain-integer fold of the relaxed-atomic NodeStats cells (snapshots the
-// counters once; also keeps the snprintf varargs below well-formed).
+// Per-role fold of the NodeStats snapshots.
 struct RoleAggregate {
   uint64_t nodes = 0;
   uint64_t bytes_sent = 0;
@@ -1026,17 +1019,16 @@ void AppendRole(std::string& out, const char* key, const RoleAggregate& agg) {
 }  // namespace
 
 std::string Cluster::StatsReport() const {
-  SampleHealth();  // report freshest watermark-lag/backlog gauges
+  SampleHealth();  // report the freshest watermark-lag gauge
   RoleAggregate local, intermediate, root, total;
   for (const auto& node : nodes_) {
+    const NodeStats s = node->net_stats();
     switch (node->role()) {
-      case NodeRole::kLocal: local.Absorb(node->net_stats()); break;
-      case NodeRole::kIntermediate:
-        intermediate.Absorb(node->net_stats());
-        break;
-      case NodeRole::kRoot: root.Absorb(node->net_stats()); break;
+      case NodeRole::kLocal: local.Absorb(s); break;
+      case NodeRole::kIntermediate: intermediate.Absorb(s); break;
+      case NodeRole::kRoot: root.Absorb(s); break;
     }
-    total.Absorb(node->net_stats());
+    total.Absorb(s);
   }
   char buf[256];
   std::string out = "{";
@@ -1047,7 +1039,7 @@ std::string Cluster::StatsReport() const {
                 "\"results\":%" PRIu64 ",\"roles\":{",
                 ToString(system_).c_str(), transport_->name(),
                 topology_.num_locals, topology_.num_intermediates,
-                topology_.intermediate_layers, results_.load());
+                topology_.intermediate_layers, results());
   out += buf;
   AppendRole(out, "local", local);
   out += ",";
@@ -1074,7 +1066,7 @@ std::string Cluster::StatsReport() const {
                   ",\"replayed_slices\":%" PRIu64 ",\"stale_dropped\":%" PRIu64
                   ",\"resend_buffer_bytes\":%" PRIu64
                   ",\"resend_overflow_drops\":%" PRIu64 "}",
-                  recovery_reattaches_.load(), recovery_replayed_.load(), stale,
+                  recovery_reattaches(), recovery_replayed(), stale,
                   resend_bytes, overflow_drops);
     out += buf;
   }
@@ -1086,13 +1078,13 @@ std::string Cluster::StatsReport() const {
                   monitor_->auto_recoveries());
     out += buf;
   }
-  if (obs_registry_ != nullptr || obs_tracer_ != nullptr) {
+  const bool caller_registry = obs_registry_ != &owned_registry_;
+  if (caller_registry || obs_tracer_ != nullptr) {
     // Registry snapshot and span *counters* only: both read relaxed
     // atomics, so polling mid-run is race-free. Span payloads (the actual
     // trace) need quiescence and are exported by the owner after Drain().
     out += ",\"obs\":{\"metrics\":";
-    out += obs_registry_ != nullptr ? obs_registry_->ToJson()
-                                    : "{\"metrics\":[]}";
+    out += caller_registry ? obs_registry_->ToJson() : "{\"metrics\":[]}";
     std::snprintf(buf, sizeof(buf),
                   ",\"spans_recorded\":%" PRIu64 ",\"spans_dropped\":%" PRIu64
                   "}",

@@ -189,9 +189,11 @@ class Cluster {
   }
 
   /// Recovery counters (deterministic under SimLink virtual time; also in
-  /// the StatsReport() "recovery" section).
-  uint64_t recovery_reattaches() const { return recovery_reattaches_; }
-  uint64_t recovery_replayed() const { return recovery_replayed_; }
+  /// the StatsReport() "recovery" section): the recovery.reattaches series
+  /// and the sum of the per-node recovery.replayed_slices series. 0 without
+  /// recovery.
+  uint64_t recovery_reattaches() const;
+  uint64_t recovery_replayed() const;
 
   /// Registers a new query on every node at runtime. Incremental group
   /// maintenance (§3.2 at scale): the query joins a compatible existing
@@ -226,7 +228,9 @@ class Cluster {
   ClusterSystem system() const { return system_; }
   const ClusterTopology& topology() const { return topology_; }
   const ClusterOptions& options() const { return options_; }
-  uint64_t results() const { return results_; }
+  /// Windows emitted at the root (the cluster.results series; 0 before
+  /// Configure).
+  uint64_t results() const;
 
   int num_locals() const { return topology_.num_locals; }
   int num_intermediates() const { return topology_.num_intermediates; }
@@ -236,11 +240,12 @@ class Cluster {
   /// the bounded-memory benches and tests.
   const mem::MemoryGovernor* LocalMemoryGovernor(int local_idx) const;
 
-  const NodeStats& local_stats(int i) const { return locals_raw_[i]->net_stats(); }
-  const NodeStats& intermediate_stats(int i) const {
+  /// Per-node counter snapshots (see NodeStats).
+  NodeStats local_stats(int i) const { return locals_raw_[i]->net_stats(); }
+  NodeStats intermediate_stats(int i) const {
     return intermediates_raw_[i]->net_stats();
   }
-  const NodeStats& root_stats() const { return root_raw_->net_stats(); }
+  NodeStats root_stats() const { return root_raw_->net_stats(); }
 
   /// Aggregate network bytes sent by all nodes of a role (the paper's
   /// per-role network overhead, Fig 11).
@@ -254,28 +259,31 @@ class Cluster {
   /// One JSON object aggregating per-role network/CPU/queue counters plus
   /// run metadata (system, topology, transport, results) — the machine-
   /// readable form of the per-role stats the benches used to recompute by
-  /// hand. With obs attached, gains an "obs" section (registry snapshot +
-  /// span counters — safe to poll mid-run; full span payloads are only
-  /// exported by the caller after Drain()). Call after Drain() for exact
-  /// totals.
+  /// hand. With a caller's registry or tracer attached, gains an "obs"
+  /// section (registry snapshot + span counters — safe to poll mid-run;
+  /// full span payloads are only exported by the caller after Drain()).
+  /// Call after Drain() for exact totals.
   std::string StatsReport() const;
 
   /// Attaches observability sinks to the cluster and every node (current
-  /// and future): per-node series land in `registry`, slice-lifecycle
-  /// spans in `tracer` (either may be null). Window emission at the root
-  /// records a kWindowEmitted span. Call any time before traffic; both
-  /// must outlive the cluster — with a watchdog thread on, health gauges
-  /// are published into `registry` until the destructor joins it.
+  /// and future): cluster and per-node series land in `registry`,
+  /// slice-lifecycle spans in `tracer` (either may be null). A null
+  /// `registry` selects the cluster's own registry, which stores every
+  /// node and cluster fact until a caller's registry is attached. Series
+  /// are registered by Configure, or right away when the cluster is
+  /// already configured; counts are not carried from one registry to the
+  /// next. Window emission at the root records a kWindowEmitted span. Call
+  /// any time before traffic; both must outlive the cluster — with a
+  /// watchdog thread on, health gauges are published into `registry`
+  /// until the destructor joins it.
   void AttachObs(obs::MetricsRegistry* registry, obs::SliceTracer* tracer);
-  obs::MetricsRegistry* obs_registry() const { return obs_registry_; }
-  obs::SliceTracer* obs_tracer() const { return obs_tracer_; }
 
-  /// Publishes every node's health cells (watermark lag, backlog, reorder
-  /// depth — see docs/METRICS.md) into the attached registry's gauges.
-  /// Cheap (relaxed reads + gauge stores, no locks taken on node state) and
-  /// safe to call mid-run from any thread. Runs automatically every
-  /// kHealthSamplePeriod watermark advances, at Drain(), and at
-  /// StatsReport(); call directly for a finer-grained monitor.
+  /// Publishes every node's derived watermark lag (health.watermark_lag_us,
+  /// see docs/METRICS.md) into the registry. Cheap (relaxed reads + gauge
+  /// stores, no locks taken on node state) and safe to call mid-run from
+  /// any thread. Runs automatically every kHealthSamplePeriod watermark
+  /// advances, at Drain(), and at StatsReport(); call directly for a
+  /// finer-grained monitor.
   void SampleHealth() const;
 
   /// Watermark advances between automatic SampleHealth() runs.
@@ -306,6 +314,9 @@ class Cluster {
  private:
   Node* ParentForLocal(size_t ordinal) const;
   Status RemoveLocalNodeLocked(int local_idx);
+  /// Resolves the cluster-level series handles in obs_registry_ and points
+  /// the tracer's drop counter at a caller's registry.
+  void BindObs();
   void WireNode(Node* node);
 
   // Crash-recovery internals (membership_mu_ held exclusively).
@@ -343,6 +354,14 @@ class Cluster {
   ClusterSystem system_;
   ClusterTopology topology_;
   ClusterOptions options_;
+  /// The store of every node and cluster fact while no caller's registry
+  /// is attached. Declared before every member that writes into it
+  /// (transport, nodes, recorders, watchdog), so it is destroyed after
+  /// them.
+  obs::MetricsRegistry owned_registry_;
+  /// Where the series live: the caller's registry, else owned_registry_.
+  obs::MetricsRegistry* obs_registry_ = &owned_registry_;
+  obs::SliceTracer* obs_tracer_ = nullptr;
   Transport* transport_;
   std::unique_ptr<Transport> owned_transport_;
   /// Guards the membership vectors below (exclusive for membership/query
@@ -361,13 +380,10 @@ class Cluster {
   std::vector<bool> local_orphaned_;
   Node* root_raw_ = nullptr;
   WindowSink sink_;
-  /// Incremented from the root's delivery worker; read by monitors mid-run.
-  obs::RelaxedU64 results_;
   /// AdvanceAt() calls since the last automatic health sample.
   obs::RelaxedU64 health_sample_ticks_;
   bool configured_ = false;
-  obs::MetricsRegistry* obs_registry_ = nullptr;
-  obs::SliceTracer* obs_tracer_ = nullptr;
+  // Cluster-level series handles, set by BindObs.
   obs::Counter* results_counter_ = nullptr;   // cluster.results
   obs::Histogram* ingest_batch_hist_ = nullptr;  // cluster.ingest_batch_ns
   // Desis runtime state (for AddLocalNode / AddQuery).
@@ -378,9 +394,7 @@ class Cluster {
                                SharingPolicy::kCrossFunction};
   obs::Histogram* churn_add_hist_ = nullptr;     // opt.group_churn_ns{op=add}
   obs::Histogram* churn_remove_hist_ = nullptr;  // opt.group_churn_ns{op=remove}
-  // Crash recovery: cluster-wide counters + obs handles.
-  obs::RelaxedU64 recovery_reattaches_;
-  obs::RelaxedU64 recovery_replayed_;
+  // Crash recovery series (registered only with recovery enabled).
   obs::Counter* reattach_counter_ = nullptr;       // recovery.reattaches
   obs::Histogram* reattach_latency_hist_ = nullptr;  // recovery.reattach_latency_us
   uint32_t next_node_id_ = 0;

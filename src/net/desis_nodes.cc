@@ -141,7 +141,7 @@ void DesisLocalNode::IngestBatch(const Event* events, size_t count) {
     for (const ForwardGroup& fg : forward_groups_) {
       parked += static_cast<int64_t>(fg.pending.size());
     }
-    health_.backlog = parked;
+    SetBacklog(parked);
   });
 }
 
@@ -195,7 +195,7 @@ void DesisLocalNode::Advance(Timestamp watermark) {
     for (ForwardGroup& fg : forward_groups_) FlushForwardBatch(fg.group.id);
     SendToParent({MessageType::kWatermark, 0, EncodeWatermark(safe)});
     NoteWatermarkAdvance(safe);
-    health_.backlog = 0;  // forward batches flushed
+    SetBacklog(0);  // forward batches flushed
   });
 }
 
@@ -259,7 +259,7 @@ void DesisIntermediateNode::ForceFlushHeld() {
                  std::move(value.origins));
     it = entries_.erase(it);
   }
-  health_.backlog = 0;
+  SetBacklog(0);
 }
 
 void DesisIntermediateNode::ReAdvertiseWatermark() {
@@ -375,7 +375,7 @@ void DesisIntermediateNode::HandleMessage(const Message& message,
       break;
   }
   NoteWatermarkAdvance(sent_wm_);
-  health_.backlog = static_cast<int64_t>(entries_.size());
+  SetBacklog(static_cast<int64_t>(entries_.size()));
 }
 
 // ----------------------------------------------------------------- root --
@@ -436,8 +436,7 @@ void DesisRootNode::OnObsAttached() {
       rg.slicer->set_metrics(obs_registry_);
     }
   }
-  if (recovery_enabled() && stale_counter_ == nullptr &&
-      obs_registry_ != nullptr) {
+  if (recovery_enabled()) {
     stale_counter_ = obs_registry_->GetCounter(
         "recovery.stale_dropped",
         {{"node", std::to_string(id())}, {"role", ToString(role())}},
@@ -473,7 +472,6 @@ void DesisRootNode::AddGroups(const std::vector<QueryGroup>& groups) {
 }
 
 void DesisRootNode::EmitResult(const WindowResult& result) {
-  ++results_;
   if (sink_) sink_(result);
 }
 
@@ -541,8 +539,8 @@ void DesisRootNode::UpdateHealthCells() {
     backlog += static_cast<int64_t>(rg.pending.size());
     reorder += static_cast<int64_t>(rg.pending.size());
   }
-  health_.backlog = backlog;
-  health_.reorder_depth = reorder;
+  SetBacklog(backlog);
+  SetReorderDepth(reorder);
   NoteWatermarkAdvance(advanced_wm_);
 }
 
@@ -576,8 +574,7 @@ void DesisRootNode::HandleMessage(const Message& message, int child_index) {
       }
     }
     if (!any_fresh) {
-      ++stale_dropped_;
-      if (stale_counter_ != nullptr) stale_counter_->Add();
+      stale_counter_->Add();
       return;
     }
     for (const ProvenanceEntry& p : message.origins) {

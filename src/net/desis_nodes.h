@@ -150,7 +150,6 @@ class DesisRootNode : public Node {
 
   void set_sink(WindowSink sink) { sink_ = std::move(sink); }
   const EngineStats& engine_stats() const { return stats_; }
-  uint64_t results_emitted() const { return results_; }
 
   /// Deploys additional query-groups at runtime (§3.2).
   void AddGroups(const std::vector<QueryGroup>& groups);
@@ -171,8 +170,9 @@ class DesisRootNode : public Node {
   /// may not have consumed. Units above a hole replay conservatively; the
   /// root's exact applied-tracking drops the true duplicates.
   ReplayFrontiers FrontierSnapshot() const;
-  /// Messages dropped whole because every origin was already applied.
-  uint64_t stale_dropped() const { return stale_dropped_; }
+  /// Messages dropped whole because every origin was already applied
+  /// (recovery.stale_dropped); requires recovery.
+  uint64_t stale_dropped() const { return stale_counter_->value(); }
 
  protected:
   void HandleMessage(const Message& message, int child_index) override;
@@ -187,13 +187,12 @@ class DesisRootNode : public Node {
   Timestamp MinChildWatermark() const;
   void AdvanceAll(Timestamp watermark);
   void EmitResult(const WindowResult& result);
-  /// Recomputes the health cells (assembler backlog, reorder-buffer
-  /// occupancy, advanced watermark) after handling a message.
+  /// Recomputes the health gauges and cells (assembler backlog,
+  /// reorder-buffer occupancy, advanced watermark) after handling a message.
   void UpdateHealthCells();
 
   EngineStats stats_;
   WindowSink sink_;
-  uint64_t results_ = 0;
   std::map<uint32_t, std::unique_ptr<RootAssembler>> assemblers_;
   struct RootOnlyGroup {
     std::unique_ptr<StreamSlicer> slicer;
@@ -227,7 +226,6 @@ class DesisRootNode : public Node {
     }
   };
   std::map<std::pair<uint32_t, uint32_t>, OriginProgress> frontiers_;
-  uint64_t stale_dropped_ = 0;
   obs::Counter* stale_counter_ = nullptr;  // recovery.stale_dropped
 };
 

@@ -283,7 +283,6 @@ DiscoRootNode::DiscoRootNode(uint32_t id, const std::vector<Query>& queries)
 }
 
 void DiscoRootNode::EmitResult(const WindowResult& result) {
-  ++results_;
   if (sink_) sink_(result);
 }
 

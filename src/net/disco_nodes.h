@@ -100,7 +100,6 @@ class DiscoRootNode : public Node {
 
   void set_sink(WindowSink sink) { sink_ = std::move(sink); }
   const EngineStats& engine_stats() const { return stats_; }
-  uint64_t results_emitted() const { return results_; }
 
  protected:
   void HandleMessage(const Message& message, int child_index) override;
@@ -112,7 +111,6 @@ class DiscoRootNode : public Node {
 
   EngineStats stats_;
   WindowSink sink_;
-  uint64_t results_ = 0;
   std::map<QueryId, AggregationSpec> pushdown_specs_;
   std::map<std::tuple<QueryId, Timestamp, Timestamp>,
            std::pair<disco::ParsedPartial, int>>

@@ -16,7 +16,7 @@ void ForwardingLocalNode::IngestBatch(const Event* events, size_t count) {
       if (pending_.size() >= batch_size_) Flush();
     }
     if (count > 0) health_.last_event_ts = events[count - 1].ts;
-    health_.backlog = static_cast<int64_t>(pending_.size());
+    SetBacklog(static_cast<int64_t>(pending_.size()));
   });
 }
 
@@ -31,7 +31,7 @@ void ForwardingLocalNode::Advance(Timestamp watermark) {
     Flush();
     SendToParent({MessageType::kWatermark, 0, EncodeWatermark(watermark)});
     NoteWatermarkAdvance(watermark);
-    health_.backlog = 0;
+    SetBacklog(0);
   });
 }
 
@@ -107,8 +107,8 @@ void EngineRootNode::HandleMessage(const Message& message, int child_index) {
   }
   // The root's reorder buffer doubles as its backlog: raw events held back
   // until every child's watermark passes them.
-  health_.backlog = static_cast<int64_t>(pending_.size());
-  health_.reorder_depth = static_cast<int64_t>(pending_.size());
+  SetBacklog(static_cast<int64_t>(pending_.size()));
+  SetReorderDepth(static_cast<int64_t>(pending_.size()));
   NoteWatermarkAdvance(released_wm_);
 }
 

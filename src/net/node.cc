@@ -60,24 +60,27 @@ void Node::AttachObs(obs::MetricsRegistry* registry,
                      obs::SliceTracer* tracer) {
   obs_registry_ = registry;
   tracer_ = tracer;
-  if (registry != nullptr) {
-    const obs::Labels labels = {{"node", std::to_string(id_)},
-                                {"role", ToString(role_)}};
-    handler_latency_ =
-        registry->GetHistogram("node.handler_latency_ns", labels, "ns");
-    queue_hwm_gauge_ = registry->GetGauge("node.queue_hwm", labels, "messages");
-    mailbox_depth_gauge_ =
-        registry->GetGauge("health.mailbox_depth", labels, "messages");
-    wm_lag_gauge_ = registry->GetGauge("health.watermark_lag_us", labels, "us");
-    backlog_gauge_ = registry->GetGauge("health.backlog", labels, "slices");
-    reorder_depth_gauge_ =
-        registry->GetGauge("health.reorder_depth", labels, "events");
-    retransmits_counter_ =
-        registry->GetCounter("node.retransmits", labels, "messages");
-    drops_counter_ =
-        registry->GetCounter("node.messages_dropped", labels, "messages");
+  const obs::Labels labels = {{"node", std::to_string(id_)},
+                              {"role", ToString(role_)}};
+  handler_latency_ =
+      registry->GetHistogram("node.handler_latency_ns", labels, "ns");
+  queue_hwm_gauge_ = registry->GetGauge("node.queue_hwm", labels, "messages");
+  mailbox_depth_gauge_ =
+      registry->GetGauge("health.mailbox_depth", labels, "messages");
+  wm_lag_gauge_ = registry->GetGauge("health.watermark_lag_us", labels, "us");
+  backlog_gauge_ = registry->GetGauge("health.backlog", labels, "slices");
+  reorder_depth_gauge_ =
+      registry->GetGauge("health.reorder_depth", labels, "events");
+  retransmits_counter_ =
+      registry->GetCounter("node.retransmits", labels, "messages");
+  drops_counter_ =
+      registry->GetCounter("node.messages_dropped", labels, "messages");
+  if (resend_buffer_ != nullptr) {
+    replayed_counter_ = registry->GetCounter("recovery.replayed_slices",
+                                             labels, "messages");
+    resend_bytes_gauge_ =
+        registry->GetGauge("recovery.resend_buffer_bytes", labels, "bytes");
   }
-  RegisterRecoveryObs();  // handles AttachObs-after-EnableRecovery order
   OnObsAttached();
 }
 
@@ -85,35 +88,39 @@ void Node::AttachFlight(obs::FlightRecorder* flight) {
   flight_ = flight;
   if (flight_ == nullptr) return;
   flight_->set_identity(id_, static_cast<uint8_t>(role_));
-  if (obs_registry_ != nullptr) {
-    const obs::Labels labels = {{"node", std::to_string(id_)},
-                                {"role", ToString(role_)}};
-    flight_->set_counters(
-        obs_registry_->GetCounter("recorder.events", labels, "events"),
-        obs_registry_->GetCounter("recorder.dropped", labels, "events"));
-  }
+  const obs::Labels labels = {{"node", std::to_string(id_)},
+                              {"role", ToString(role_)}};
+  flight_->set_counters(
+      obs_registry_->GetCounter("recorder.events", labels, "events"),
+      obs_registry_->GetCounter("recorder.dropped", labels, "events"));
   OnFlightAttached();
 }
 
+NodeStats Node::net_stats() const {
+  NodeStats s;
+  s.bytes_sent = bytes_sent_;
+  s.bytes_received = bytes_received_;
+  s.messages_sent = messages_sent_;
+  s.messages_received = messages_received_;
+  s.busy_ns = busy_ns_;
+  s.queue_hwm = static_cast<uint64_t>(queue_hwm_gauge_->value());
+  s.retransmits = retransmits_counter_->value();
+  s.messages_dropped = drops_counter_->value();
+  return s;
+}
+
 void Node::PublishHealth() const {
-  if (wm_lag_gauge_ != nullptr) {
-    // Lag is only meaningful once both ends of the interval exist; before
-    // traffic flows the gauge stays at its initial 0.
-    const int64_t seen = health_.last_event_ts;
-    const int64_t wm = health_.watermark;
-    if (seen != kNoTimestamp) {
-      wm_lag_gauge_->Set(wm == kNoTimestamp ? seen : std::max<int64_t>(0, seen - wm));
-    }
-  }
-  if (backlog_gauge_ != nullptr) backlog_gauge_->Set(health_.backlog);
-  if (reorder_depth_gauge_ != nullptr) {
-    reorder_depth_gauge_->Set(health_.reorder_depth);
-  }
+  // Lag is only meaningful once both ends of the interval exist; before
+  // traffic flows the gauge stays at its initial 0.
+  const int64_t seen = health_.last_event_ts;
+  if (seen == kNoTimestamp) return;
+  const int64_t wm = health_.watermark;
+  wm_lag_gauge_->Set(wm == kNoTimestamp ? seen
+                                        : std::max<int64_t>(0, seen - wm));
 }
 
 void Node::NoteRetransmit(const Message* message) {
-  ++net_stats_.retransmits;
-  if (retransmits_counter_ != nullptr) retransmits_counter_->Add();
+  retransmits_counter_->Add();
   // A retransmitted slice partial keeps its slice identity, so the span
   // lands on the same async track as the original shipment. The id and
   // time range are the first three payload fields (see SlicePartialMsg).
@@ -141,23 +148,22 @@ void Node::Receive(const Message& message, int child_index) {
     // Downstream traffic (parent -> child, child_index = -1): evict the
     // resend buffer and cascade toward the leaves. Never reaches the
     // subclass HandleMessage.
-    net_stats_.bytes_received += message.WireBytes();
-    ++net_stats_.messages_received;
+    bytes_received_ += message.WireBytes();
+    ++messages_received_;
     Metered([&] { HandleStableAck(DecodeWatermark(message.payload)); });
     return;
   }
   if (child_detached(child_index)) return;  // stale traffic from a removed node
-  net_stats_.bytes_received += message.WireBytes();
-  ++net_stats_.messages_received;
-  const int64_t attributed_ns =
-      Metered([&] { HandleMessage(message, child_index); });
-  if (handler_latency_ != nullptr) handler_latency_->Record(attributed_ns);
+  bytes_received_ += message.WireBytes();
+  ++messages_received_;
+  handler_latency_->Record(
+      Metered([&] { HandleMessage(message, child_index); }));
 }
 
 void Node::SendToParent(const Message& message) {
   if (parent_ == nullptr) return;
-  net_stats_.bytes_sent += message.WireBytes();
-  ++net_stats_.messages_sent;
+  bytes_sent_ += message.WireBytes();
+  ++messages_sent_;
   transport_->Send(this, parent_, child_index_at_parent_, message);
 }
 
@@ -173,26 +179,10 @@ void Node::EnableRecovery(const RecoveryOptions& options) {
   if (!options.enabled || resend_buffer_ != nullptr) return;
   resend_buffer_ =
       std::make_unique<ResendBuffer>(options.resend_buffer_max_bytes);
-  RegisterRecoveryObs();
-}
-
-void Node::RegisterRecoveryObs() {
-  if (obs_registry_ == nullptr || resend_buffer_ == nullptr ||
-      replayed_counter_ != nullptr) {
-    return;
-  }
-  const obs::Labels labels = {{"node", std::to_string(id_)},
-                              {"role", ToString(role_)}};
-  replayed_counter_ = obs_registry_->GetCounter("recovery.replayed_slices",
-                                                labels, "messages");
-  resend_bytes_gauge_ = obs_registry_->GetGauge("recovery.resend_buffer_bytes",
-                                                labels, "bytes");
 }
 
 void Node::UpdateResendGauge() {
-  if (resend_bytes_gauge_ != nullptr) {
-    resend_bytes_gauge_->Set(static_cast<int64_t>(resend_buffer_->bytes()));
-  }
+  resend_bytes_gauge_->Set(static_cast<int64_t>(resend_buffer_->bytes()));
 }
 
 void Node::HandleStableAck(Timestamp stable) {
@@ -217,15 +207,14 @@ void Node::SendAckToChildren(Timestamp stable) {
     if (child_detached(i)) continue;
     Node* child = child_nodes_[static_cast<size_t>(i)];
     if (child == nullptr || !child->recovery_enabled()) continue;
-    net_stats_.bytes_sent += ack.WireBytes();
-    ++net_stats_.messages_sent;
+    bytes_sent_ += ack.WireBytes();
+    ++messages_sent_;
     transport_->Send(this, child, /*child_index=*/-1, ack);
   }
 }
 
-size_t Node::ReplayUnacked(const ReplayFrontiers& frontiers) {
-  if (resend_buffer_ == nullptr || parent_ == nullptr) return 0;
-  size_t replayed = 0;
+void Node::ReplayUnacked(const ReplayFrontiers& frontiers) {
+  if (resend_buffer_ == nullptr || parent_ == nullptr) return;
   for (const Message& message : resend_buffer_->UnackedSnapshot()) {
     // Stale iff every origin unit was already applied at the root. Messages
     // without provenance can't be deduplicated, so they are always resent.
@@ -238,14 +227,12 @@ size_t Node::ReplayUnacked(const ReplayFrontiers& frontiers) {
       }
     }
     if (!fresh) continue;
-    net_stats_.bytes_sent += message.WireBytes();
-    ++net_stats_.messages_sent;
+    bytes_sent_ += message.WireBytes();
+    ++messages_sent_;
     transport_->Send(this, parent_, child_index_at_parent_, message);
-    ++replayed;
-    if (replayed_counter_ != nullptr) replayed_counter_->Add();
+    replayed_counter_->Add();
     RecordReplaySpan(message);
   }
-  return replayed;
 }
 
 void Node::RecordReplaySpan(const Message& message) {

@@ -39,38 +39,44 @@ class LocalIngest {
   virtual void Advance(Timestamp watermark) = 0;
 };
 
-/// Per-node counters: network bytes (the paper's network-overhead metric,
-/// Fig 11), metered CPU busy time (backing the pipeline throughput model
-/// described in DESIGN.md), and transport-level queue/loss counters.
-/// `bytes_sent`/`messages_sent` count logical sends exactly once, whatever
-/// the transport does underneath; retransmissions and drops on a lossy
-/// link are accounted separately so inline runs stay byte-identical.
+/// A plain-integer snapshot of one node's counters: network bytes (the
+/// paper's network-overhead metric, Fig 11), metered CPU busy time
+/// (backing the pipeline throughput model described in DESIGN.md), and
+/// transport-level queue/loss counters. `bytes_sent`/`messages_sent` count
+/// logical sends exactly once, whatever the transport does underneath;
+/// retransmissions and drops on a lossy link are accounted separately so
+/// inline runs stay byte-identical.
 ///
-/// All counters are relaxed-atomic cells: under ThreadedTransport they are
-/// mutated from per-receiver delivery workers while `Cluster::StatsReport()`
-/// (or a monitoring thread) may read them mid-run. Relaxed atomics keep the
-/// hot path a single uncontended RMW; exact totals are only guaranteed
-/// after `Cluster::Drain()`.
+/// Node::net_stats() reads each fact from its one store: the node's
+/// registry series (node.queue_hwm, node.retransmits,
+/// node.messages_dropped) or, for facts without a series (bytes, messages,
+/// busy time), the node's own relaxed-atomic cell. Every store is written
+/// from transport workers and read lock-free, so a snapshot may be taken
+/// mid-run; exact totals are only guaranteed after `Cluster::Drain()`.
 struct NodeStats {
-  obs::RelaxedU64 bytes_sent;
-  obs::RelaxedU64 bytes_received;
-  obs::RelaxedU64 messages_sent;
-  obs::RelaxedU64 messages_received;
-  obs::RelaxedI64 busy_ns;
+  uint64_t bytes_sent = 0;
+  uint64_t bytes_received = 0;
+  uint64_t messages_sent = 0;
+  uint64_t messages_received = 0;
+  int64_t busy_ns = 0;
   /// High-water mark of inbound queue depth (threaded mailbox occupancy or
   /// a lossy link's out-of-order reassembly buffer); 0 for inline delivery.
-  obs::RelaxedU64 queue_hwm;
+  uint64_t queue_hwm = 0;
   /// Transmissions re-sent on this node's uplink after a loss or timeout.
-  obs::RelaxedU64 retransmits;
+  uint64_t retransmits = 0;
   /// Transmissions the link dropped on this node's uplink (each one is
   /// eventually covered by a retransmit).
-  obs::RelaxedU64 messages_dropped;
+  uint64_t messages_dropped = 0;
 };
 
-/// Per-node health cells, updated by the node's own handler/driver thread
-/// at message or batch granularity and sampled race-free by
-/// Cluster::SampleHealth() (all relaxed atomics — statistics, not
-/// synchronization). kNoTimestamp marks "nothing seen yet".
+/// Per-node health cells the registry cannot hold: the two ends of the
+/// watermark-lag interval (health.watermark_lag_us is derived from them at
+/// sample time) and the liveness counter, which has no series. Updated by
+/// the node's own handler/driver thread at message or batch granularity
+/// and read race-free by the watchdog probe (relaxed atomics — statistics,
+/// not synchronization). Occupancy facts (mailbox depth, backlog, reorder
+/// depth) live only in their health.* gauges. kNoTimestamp marks "nothing
+/// seen yet".
 struct NodeHealth {
   /// Newest event-time this node has seen (ingested locally or carried by
   /// child partials/watermarks).
@@ -79,21 +85,11 @@ struct NodeHealth {
   /// at the root, advanced to). last_event_ts - watermark is the node's
   /// watermark lag.
   obs::RelaxedI64 watermark{kNoTimestamp};
-  /// Work parked waiting for completion: pending intermediate slices,
-  /// root-assembler slice backlog, or unflushed forward batches.
-  obs::RelaxedI64 backlog{0};
-  /// Occupancy of a reorder buffer (root-only raw events held back for
-  /// cross-child ordering); 0 where no reordering happens.
-  obs::RelaxedI64 reorder_depth{0};
   /// Monotonic liveness counter: any received message or outbound
   /// watermark advance bumps it. The health watchdog treats a frozen
   /// value (while the node's watermark lags the live frontier) as
   /// silence — see obs::HealthMonitor.
   obs::RelaxedU64 heartbeats{0};
-  /// Momentary inbound mailbox occupancy (same observations as the
-  /// health.mailbox_depth gauge, but readable lock-free by the watchdog
-  /// probe without a registry).
-  obs::RelaxedI64 mailbox_depth{0};
 };
 
 /// A node in the simulated decentralized network. SendToParent() counts
@@ -113,9 +109,16 @@ class Node {
 
   uint32_t id() const { return id_; }
   NodeRole role() const { return role_; }
-  const NodeStats& net_stats() const { return net_stats_; }
+  /// Snapshot of this node's counters (see NodeStats). Valid once the
+  /// node has a registry (AttachObs).
+  NodeStats net_stats() const;
   const NodeHealth& health() const { return health_; }
-  int64_t busy_ns() const { return net_stats_.busy_ns; }
+  int64_t busy_ns() const { return busy_ns_; }
+  /// Momentary inbound mailbox occupancy (the health.mailbox_depth gauge).
+  int64_t mailbox_depth() const { return mailbox_depth_gauge_->value(); }
+  /// Messages this node re-sent after a reattach (recovery.replayed_slices);
+  /// requires recovery.
+  uint64_t replayed_slices() const { return replayed_counter_->value(); }
 
   /// Registers `child` as a child of this node; messages the child sends
   /// travel to this node. Returns the child's index.
@@ -152,7 +155,8 @@ class Node {
   // --- Crash recovery (docs/FAULT_TOLERANCE.md) --------------------------
 
   /// Arms the resend buffer and ack handling on this node. Idempotent;
-  /// no-op when `options.enabled` is false.
+  /// no-op when `options.enabled` is false. Call before AttachObs, which
+  /// registers the recovery series of a recovering node.
   void EnableRecovery(const RecoveryOptions& options);
   bool recovery_enabled() const { return resend_buffer_ != nullptr; }
   ResendBuffer* resend_buffer() const { return resend_buffer_.get(); }
@@ -164,9 +168,9 @@ class Node {
 
   /// Replays every buffered message not yet covered by `frontiers` to the
   /// (possibly new) parent, recording kReplay spans and the
-  /// recovery.replayed_slices counter. Returns the replay count. Entries
-  /// stay buffered until a stable ack covers them.
-  size_t ReplayUnacked(const ReplayFrontiers& frontiers);
+  /// recovery.replayed_slices counter. Entries stay buffered until a
+  /// stable ack covers them.
+  void ReplayUnacked(const ReplayFrontiers& frontiers);
 
   /// Re-advertises this node's current output watermark upstream so a new
   /// parent immediately learns the subtree's progress after a reattach.
@@ -178,57 +182,47 @@ class Node {
   Transport* transport() const { return transport_; }
 
   /// Attaches observability sinks: per-node series are registered in
-  /// `registry` (labels: node id + role) and slice-lifecycle spans go to
-  /// `tracer`. Either may be null. Subclasses extend via OnObsAttached().
+  /// `registry` (labels: node id + role; never null — the registry is the
+  /// only store of those facts) and slice-lifecycle spans go to `tracer`
+  /// (may be null). Attaching again moves the series to the new registry;
+  /// counts are not carried over. Subclasses extend via OnObsAttached().
   /// Call before traffic flows; handles live as long as the registry.
   void AttachObs(obs::MetricsRegistry* registry, obs::SliceTracer* tracer);
   obs::SliceTracer* tracer() const { return tracer_; }
 
   /// Attaches this node's black-box flight recorder (owned by the
   /// Cluster): stamps the node identity on it, mirrors its counters into
-  /// the registry (recorder.events / recorder.dropped) when AttachObs ran
-  /// first, and lets subclasses forward it to slicers/engines via
+  /// the registry (recorder.events / recorder.dropped; AttachObs must have
+  /// run), and lets subclasses forward it to slicers/engines via
   /// OnFlightAttached(). Null detaches.
   void AttachFlight(obs::FlightRecorder* flight);
   obs::FlightRecorder* flight() const { return flight_; }
 
-  /// Publishes this node's health cells into its registry gauges
-  /// (health.watermark_lag_us / health.backlog / health.reorder_depth, see
-  /// docs/METRICS.md). Safe from any thread (relaxed reads, gauge stores);
-  /// no-op before AttachObs. Called by Cluster::SampleHealth().
+  /// Publishes the derived health.watermark_lag_us gauge from the health
+  /// cells (docs/METRICS.md); every other health.* gauge is written where
+  /// the fact changes. Safe from any thread (relaxed reads, gauge store).
+  /// Called by Cluster::SampleHealth().
   void PublishHealth() const;
 
   // --- Transport accounting hooks (see NodeStats) ------------------------
 
   /// Records an inbound queue-depth observation: keeps the maximum in
-  /// queue_hwm and mirrors the momentary occupancy into the
-  /// health.mailbox_depth gauge. Called live per enqueue by queue-based
-  /// transports, so the gauge tracks occupancy mid-run — not only at Flush.
+  /// node.queue_hwm and the momentary occupancy in health.mailbox_depth.
+  /// Called live per enqueue by queue-based transports, so the gauge tracks
+  /// occupancy mid-run — not only at Flush.
   void NoteQueueDepth(uint64_t depth) {
-    net_stats_.queue_hwm.StoreMax(depth);
-    health_.mailbox_depth.store(static_cast<int64_t>(depth));
-    if (queue_hwm_gauge_ != nullptr) {
-      queue_hwm_gauge_->StoreMax(static_cast<int64_t>(depth));
-    }
-    if (mailbox_depth_gauge_ != nullptr) {
-      mailbox_depth_gauge_->Set(static_cast<int64_t>(depth));
-    }
+    queue_hwm_gauge_->StoreMax(static_cast<int64_t>(depth));
+    mailbox_depth_gauge_->Set(static_cast<int64_t>(depth));
   }
   /// Marks the inbound queue quiesced (occupancy gauge back to zero; the
   /// high-water mark is preserved). Called by transports after Flush.
-  void NoteQueueDrained() {
-    health_.mailbox_depth.store(0);
-    if (mailbox_depth_gauge_ != nullptr) mailbox_depth_gauge_->Set(0);
-  }
+  void NoteQueueDrained() { mailbox_depth_gauge_->Set(0); }
   /// Records one retransmission on this node's uplink; with the in-flight
   /// message supplied, slice partials additionally record a kRetransmit
   /// span so the merged trace shows the repeated hop.
   void NoteRetransmit(const Message* message = nullptr);
   /// Records one dropped transmission on this node's uplink.
-  void NoteDrop() {
-    ++net_stats_.messages_dropped;
-    if (drops_counter_ != nullptr) drops_counter_->Add();
-  }
+  void NoteDrop() { drops_counter_->Add(); }
 
  protected:
   virtual void HandleMessage(const Message& message, int child_index) = 0;
@@ -246,6 +240,14 @@ class Node {
   /// forward it to any slicers/engines they own so seal/spill/restore
   /// events land on this node's ring.
   virtual void OnFlightAttached() {}
+
+  /// Work parked waiting for completion (health.backlog): pending
+  /// intermediate slices, root-assembler slice backlog, or unflushed
+  /// forward batches.
+  void SetBacklog(int64_t backlog) { backlog_gauge_->Set(backlog); }
+  /// Occupancy of a reorder buffer (health.reorder_depth): root-only raw
+  /// events held back for cross-child ordering.
+  void SetReorderDepth(int64_t depth) { reorder_depth_gauge_->Set(depth); }
 
   /// Publishes this node's output watermark into the health cells, and —
   /// on an actual advance — bumps the heartbeat and records a
@@ -284,11 +286,10 @@ class Node {
     fn();
     const int64_t dt = NowNs() - t0;
     const int64_t attributed = dt - ExchangeNested(saved + dt);
-    net_stats_.busy_ns += attributed;
+    busy_ns_ += attributed;
     return attributed;
   }
 
-  NodeStats net_stats_;
   /// Health cells; subclasses store into these from their own handler
   /// thread (see NodeHealth).
   NodeHealth health_;
@@ -303,13 +304,19 @@ class Node {
   /// Evicts the resend buffer up to `stable` and forwards the ack to this
   /// node's own children (cumulative acks cascade root -> leaves).
   void HandleStableAck(Timestamp stable);
-  void RegisterRecoveryObs();
   void UpdateResendGauge();
   void RecordReplaySpan(const Message& message);
 
   uint32_t id_;
   NodeRole role_;
   Transport* transport_;
+  // Facts without a registry series: one relaxed cell each (NodeStats).
+  obs::RelaxedU64 bytes_sent_;
+  obs::RelaxedU64 bytes_received_;
+  obs::RelaxedU64 messages_sent_;
+  obs::RelaxedU64 messages_received_;
+  obs::RelaxedI64 busy_ns_;
+  // Registry handles, set by AttachObs (the cluster wires every node).
   obs::Histogram* handler_latency_ = nullptr;   // node.handler_latency_ns
   obs::Gauge* queue_hwm_gauge_ = nullptr;       // node.queue_hwm
   obs::Gauge* mailbox_depth_gauge_ = nullptr;   // health.mailbox_depth
@@ -326,7 +333,8 @@ class Node {
   std::vector<bool> detached_flags_;
   std::vector<Node*> child_nodes_;
 
-  // Crash recovery (null/unset unless EnableRecovery ran).
+  // Crash recovery (null/unset unless EnableRecovery ran; the handles are
+  // set by AttachObs on a recovering node).
   std::unique_ptr<ResendBuffer> resend_buffer_;
   obs::Counter* replayed_counter_ = nullptr;     // recovery.replayed_slices
   obs::Gauge* resend_bytes_gauge_ = nullptr;     // recovery.resend_buffer_bytes

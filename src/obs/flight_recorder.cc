@@ -48,17 +48,6 @@ const char* AnomalyName(AnomalyKind kind) {
   return "unknown";
 }
 
-bool AnomalyFromName(const std::string& name, AnomalyKind* out) {
-  for (uint8_t k = 0; k <= static_cast<uint8_t>(AnomalyKind::kSilentNode);
-       ++k) {
-    if (name == AnomalyName(static_cast<AnomalyKind>(k))) {
-      *out = static_cast<AnomalyKind>(k);
-      return true;
-    }
-  }
-  return false;
-}
-
 namespace {
 
 std::mutex& FailureHookMutex() {

@@ -69,7 +69,6 @@ enum class AnomalyKind : uint8_t {
 };
 
 const char* AnomalyName(AnomalyKind kind);
-bool AnomalyFromName(const std::string& name, AnomalyKind* out);
 
 /// One recorded control-plane event. `a`/`b` are kind-specific payloads
 /// (see FlightEventKind); `virtual_ts` is event time (µs) where the event

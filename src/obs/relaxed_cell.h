@@ -6,11 +6,12 @@
 
 namespace desis::obs {
 
-/// A copyable relaxed-atomic counter cell. Drop-in replacement for the
-/// plain integer counters in EngineStats/NodeStats: single-writer hot paths
-/// keep compiling (`++x`, `x += n`, `x = v`, implicit reads) while
-/// concurrent readers — the periodic metrics exporter, a monitoring thread
-/// polling `Cluster::StatsReport()` mid-run — see no data race. All
+/// A copyable relaxed-atomic counter cell. Drop-in replacement for plain
+/// integer counters (EngineStats, the per-node byte/message/busy-time
+/// cells, NodeHealth, registry series): single-writer hot paths keep
+/// compiling (`++x`, `x += n`, `x = v`, implicit reads) while concurrent
+/// readers — the periodic metrics exporter, a monitoring thread polling
+/// `Cluster::StatsReport()` mid-run — see no data race. All
 /// operations use relaxed ordering: these are statistics, not
 /// synchronization; cross-thread visibility of *final* values is provided
 /// by the transport's quiescence protocol (`Cluster::Drain()`).

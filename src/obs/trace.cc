@@ -193,14 +193,4 @@ std::string SliceTracer::ToChromeTrace() const {
   return out;
 }
 
-std::string MergeTraces(const std::vector<const SliceTracer*>& tracers) {
-  std::vector<SliceSpan> spans;
-  for (const SliceTracer* tracer : tracers) {
-    if (tracer == nullptr) continue;
-    std::vector<SliceSpan> part = tracer->Snapshot();
-    spans.insert(spans.end(), part.begin(), part.end());
-  }
-  return ChromeTraceFromSpans(std::move(spans));
-}
-
 }  // namespace desis::obs

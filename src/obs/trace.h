@@ -135,11 +135,6 @@ class SliceTracer {
   EventRing<PackedSpan> ring_;
 };
 
-/// Concatenates the retained spans of several tracers (e.g. one per bench
-/// run, or per sub-cluster) into one correlated Chrome trace; null entries
-/// are skipped. Quiescence required, as for Snapshot().
-std::string MergeTraces(const std::vector<const SliceTracer*>& tracers);
-
 }  // namespace desis::obs
 
 #endif  // DESIS_SRC_OBS_TRACE_H_

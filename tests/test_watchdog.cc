@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <string>
@@ -444,6 +445,62 @@ TEST(WatchdogCluster, LiveThreadSamplesConcurrentlyWithDrivers) {
   EXPECT_GT(cluster.watchdog_samples(), 0u);
   EXPECT_EQ(cluster.watchdog_anomalies(), 0u);
   ASSERT_FALSE(out.empty());
+}
+
+TEST(Watchdog, ProbeOfGovernedLocalsIsRaceFree) {
+  // The sampler thread reads every governed local's restore counter
+  // (spill-thrash detection) while the local's driver thread spills and
+  // merges slice state under the same governor — the TSan lane for the
+  // probe's reads of a live governor.
+  const std::string spill_dir = "watchdog_probe_spill";
+  ClusterOptions options;
+  options.memory.budget_bytes = 16 * 1024;  // per local node
+  options.memory.min_spill_bytes = 4096;
+  options.memory.spill_dir = spill_dir;
+  options.watchdog.enabled = true;
+  options.watchdog.period_ms = 1;
+  options.watchdog.silence_threshold = 1'000'000;
+  Cluster cluster(ClusterSystem::kDesis, {2, 1}, options);
+  std::vector<Query> queries(2);
+  queries[0].id = 1;
+  queries[0].window = WindowSpec::Tumbling(2000);
+  queries[0].agg = {AggregationFunction::kMedian, 0.5};
+  queries[1].id = 2;
+  queries[1].window = WindowSpec::Tumbling(32000);
+  queries[1].agg = {AggregationFunction::kQuantile, 0.9};
+  ASSERT_TRUE(cluster.Configure(queries).ok());
+  EXPECT_TRUE(cluster.watchdog_running());
+
+  size_t windows = 0;
+  cluster.set_sink([&](const WindowResult&) { ++windows; });
+  constexpr size_t kEvents = 64 * 1024;
+  std::vector<Event> batch;
+  for (size_t i = 0; i < kEvents; ++i) {
+    batch.push_back({static_cast<Timestamp>(i / 4), static_cast<uint32_t>(i),
+                     static_cast<double>((i * 7919) % 10000) / 100.0, 0});
+    if (batch.size() == 512) {
+      cluster.IngestAt(static_cast<int>(i / 512) % 2, batch.data(),
+                       batch.size());
+      cluster.Advance(batch.back().ts);
+      batch.clear();
+    }
+    if (i == kEvents / 2) {
+      // Give the sampler a visible window mid-traffic.
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+  }
+  cluster.Advance(static_cast<Timestamp>(kEvents / 4) + 64'000);
+  cluster.Drain();
+
+  uint64_t spills = 0;
+  for (int l = 0; l < 2; ++l) {
+    spills += cluster.LocalMemoryGovernor(l)->spills();
+  }
+  EXPECT_GT(spills, 0u) << "the budget never made a local spill";
+  EXPECT_GT(cluster.watchdog_samples(), 0u);
+  EXPECT_GT(windows, 0u);
+  std::error_code ec;
+  std::filesystem::remove_all(spill_dir, ec);
 }
 
 // ----------------------------------------------------- recorder ring --
