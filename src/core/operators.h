@@ -4,7 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <optional>
+#include <memory>
 #include <vector>
 
 #include "common/serde.h"
@@ -66,7 +66,16 @@ struct MinMaxState {
 
 /// "Non-decomposable sort": keeps all events and performs one final sort
 /// when the slice ends. Shared between max, min, median, and quantile.
-/// Merging two sealed states merges their sorted runs.
+///
+/// A sealed exact state is a list of sorted runs: one value buffer plus the
+/// run end offsets (none while there is a single run). Merging appends the
+/// other state's runs instead of merging values, and rank reads select
+/// across the runs. Ranks follow the key (value, run order, position in
+/// run) — exactly the order a stable left-to-right merge of the runs
+/// produces — so every read returns the same double, `-0.0`/`+0.0` ties
+/// included. NaN has no sort order and is unsupported in exact lanes.
+/// Past kMaxRuns runs, adjacent runs are merged by size tier, which keeps
+/// the total merge work at O(n log runs).
 ///
 /// Two optional modes layer on top of the exact buffer:
 ///  - sketch mode (EnableSketch): values are folded into a t-digest instead
@@ -77,23 +86,26 @@ struct MinMaxState {
 ///    before any read — results stay byte-identical, only residency drops.
 class SortedState {
  public:
+  /// Run-list length past which Merge compacts adjacent runs.
+  static constexpr size_t kMaxRuns = 32;
+
+  SortedState() = default;
+  SortedState(const SortedState& other);
+  SortedState& operator=(const SortedState& other);
+  SortedState(SortedState&&) noexcept = default;
+  SortedState& operator=(SortedState&&) noexcept = default;
+
   void Add(double v);
   void AddN(const double* v, size_t n);
-  /// Sorts the buffered values; called once when the owning slice ends.
-  /// With a sample cap set, the sealed state is thinned to at most `cap`
-  /// quantile-preserving stride samples (approximate-quantile extension).
+  /// Sorts the buffered values into one run; called once when the owning
+  /// slice ends.
   void Seal();
   void Merge(const SortedState& other);
-
-  /// Enables approximate mode: sealed states keep at most `cap` values.
-  /// Estimated quantile error is O(1/cap). 0 = exact (default).
-  void set_sample_cap(size_t cap) { sample_cap_ = cap; }
-  size_t sample_cap() const { return sample_cap_; }
 
   /// Switches this (empty, unsealed) state to sketch mode: values feed a
   /// t-digest and the exact buffer stays empty forever.
   void EnableSketch(double compression);
-  bool sketch() const { return digest_.has_value(); }
+  bool sketch() const { return digest_ != nullptr; }
   const mem::TDigest& digest() const { return *digest_; }
 
   /// Pre-grows the exact buffer (no-op in sketch mode); batched ingest
@@ -103,6 +115,7 @@ class SortedState {
   /// Heap bytes held by this state — what the memory governor meters.
   size_t bytes() const {
     return values_.capacity() * sizeof(double) +
+           run_ends_.capacity() * sizeof(size_t) +
            (digest_ ? digest_->bytes() : 0);
   }
 
@@ -111,8 +124,9 @@ class SortedState {
   /// an empty buffer that keeps accepting Add/AddN. The caller appends the
   /// run to a SpillFile and k-way merges it back at seal time.
   std::vector<double> TakeSortedRun();
-  /// Sealed: moves the (already sorted) values out, keeping sealed_ and
-  /// represented_ so the record remains well-formed while cold on disk.
+  /// Sealed: merges the runs into one and moves the values out, keeping
+  /// sealed_ and represented_ so the record remains well-formed while cold
+  /// on disk.
   std::vector<double> TakeSealedValues();
   /// Installs externally sorted values (spill merge or restore) and seals.
   void AdoptSorted(std::vector<double> sorted, uint64_t represented);
@@ -121,21 +135,24 @@ class SortedState {
   void PutBackRun(std::vector<double> values) {
     values_ = std::move(values);
   }
-  /// Raw values this state stands for (== size() unless thinned/spilled).
+  /// Raw values this state stands for (== size() unless spilled).
   uint64_t represented() const { return represented_; }
 
   bool sealed() const { return sealed_; }
   size_t size() const {
     return digest_ ? static_cast<size_t>(digest_->count()) : values_.size();
   }
+  /// Sorted runs held by a sealed exact state (0 when it holds no values).
+  size_t runs() const {
+    return run_ends_.empty() ? (values_.empty() ? 0 : 1) : run_ends_.size();
+  }
   /// Requires sealed(). k-th smallest value, k in [0, size). Exact mode.
-  double NthValue(size_t k) const { return values_[k]; }
-  const std::vector<double>& values() const { return values_; }
+  double NthValue(size_t k) const { return Select(k); }
 
   /// Exact extrema, valid in both modes (the digest tracks them exactly).
   /// Requires sealed() and size() > 0.
-  double MinValue() const { return digest_ ? digest_->min() : values_.front(); }
-  double MaxValue() const { return digest_ ? digest_->max() : values_.back(); }
+  double MinValue() const;
+  double MaxValue() const;
 
   /// Median of the sealed values (mean of the middle two for even sizes).
   double Median() const;
@@ -146,15 +163,22 @@ class SortedState {
   static SortedState DeserializeFrom(ByteReader& in);
 
  private:
-  void ThinToCap();
+  /// Merges adjacent runs, smaller size tiers into larger ones, then the
+  /// newest runs, until at most `max_runs` (>= 1) remain.
+  void Compact(size_t max_runs);
+  /// Value at `rank` under the (value, run, position) key; with `next`,
+  /// also the value at rank + 1 (which must exist).
+  double Select(size_t rank, double* next = nullptr) const;
 
   std::vector<double> values_;
+  /// End offset of each sorted run in values_; empty while one run or none.
+  std::vector<size_t> run_ends_;
   bool sealed_ = false;
-  size_t sample_cap_ = 0;
-  /// Number of raw values this (possibly thinned) state represents.
+  /// Number of raw values this (possibly spilled) state represents.
   uint64_t represented_ = 0;
-  /// Engaged iff sketch mode; copyable because slice records copy partials.
-  std::optional<mem::TDigest> digest_;
+  /// Set iff sketch mode. Held by pointer so an exact lane stays small:
+  /// every event folds into the head of one PartialAggregate per lane.
+  std::unique_ptr<mem::TDigest> digest_;
 };
 
 /// The shared per-slice aggregate: one state per *operator* active in the
@@ -163,10 +187,7 @@ class SortedState {
 class PartialAggregate {
  public:
   PartialAggregate() = default;
-  explicit PartialAggregate(OperatorMask mask, size_t quantile_sample_cap = 0)
-      : mask_(mask) {
-    if (quantile_sample_cap > 0) sorted_.set_sample_cap(quantile_sample_cap);
-  }
+  explicit PartialAggregate(OperatorMask mask) : mask_(mask) {}
 
   OperatorMask mask() const { return mask_; }
 

@@ -25,8 +25,9 @@ class RootAssembler {
  public:
   RootAssembler(QueryGroup group, EngineStats* stats, WindowSink sink);
 
-  /// Folds one child slice partial into the matching root slice.
-  void AddPartial(const SliceRecord& msg);
+  /// Folds one child slice partial into the matching root slice; a new
+  /// root slice takes the record's lanes without copying them.
+  void AddPartial(SliceRecord&& msg);
 
   /// Closes every window ending at or before `watermark` (use the minimum
   /// over all children's watermarks).

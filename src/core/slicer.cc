@@ -401,8 +401,7 @@ uint64_t StreamSlicer::ShedBytes(uint64_t target) {
     const PartialAggregate& pa = rec.lanes[lane];
     if (!MaskHas(pa.mask(), OperatorKind::kNonDecomposableSort)) return false;
     const SortedState& ss = pa.sorted_state();
-    return !ss.sketch() && ss.sample_cap() == 0 && !ss.values().empty() &&
-           pa.bytes() >= min_bytes;
+    return !ss.sketch() && ss.size() != 0 && pa.bytes() >= min_bytes;
   };
 
   // Coldest first: sealed records, oldest to newest. The not-yet-shipped
@@ -426,7 +425,7 @@ uint64_t StreamSlicer::ShedBytes(uint64_t target) {
       const PartialAggregate& pa = current_lanes_[lane];
       if (!MaskHas(pa.mask(), OperatorKind::kNonDecomposableSort)) continue;
       const SortedState& ss = pa.sorted_state();
-      if (ss.sketch() || ss.sample_cap() != 0 || ss.values().empty()) continue;
+      if (ss.sketch() || ss.size() == 0) continue;
       const uint64_t b = pa.bytes();
       if (b >= min_bytes && b > best_bytes) {
         best_bytes = b;

@@ -373,6 +373,8 @@ void DesisIntermediateNode::HandleMessage(const Message& message,
     case MessageType::kText:
       SendToParent(message);
       break;
+    case MessageType::kAck:
+      break;  // Node::Receive consumes acks before HandleMessage.
   }
   NoteWatermarkAdvance(sent_wm_);
   SetBacklog(static_cast<int64_t>(entries_.size()));
@@ -618,6 +620,8 @@ void DesisRootNode::HandleMessage(const Message& message, int child_index) {
     }
     case MessageType::kText:
       break;  // Desis clusters never carry text payloads.
+    case MessageType::kAck:
+      break;  // Node::Receive consumes acks before HandleMessage.
   }
   UpdateHealthCells();
 }

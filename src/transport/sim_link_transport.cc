@@ -177,6 +177,7 @@ void SimLinkTransport::Pump() {
   for (auto& [key, link] : links_) {
     if (link.to != nullptr && !IsDead(link)) {
       link.to->NoteQueueDepth(link.reassembly_hwm);
+      link.to->NoteQueueDrained();  // every queue is empty after the flush
     }
   }
 }

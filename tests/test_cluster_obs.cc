@@ -77,15 +77,10 @@ ClusterOptions WithRecovery() {
   return options;
 }
 
-/// Replaces the number after each occurrence of `key` that follows
-/// `after` (from the start when `after` is empty) with "_".
-void MaskNumbers(std::string& report, const std::string& after,
-                 const std::string& key) {
-  for (size_t at = report.find(after.empty() ? key : after);
-       at != std::string::npos;
-       at = report.find(after.empty() ? key : after, at)) {
-    at = report.find(key, at);
-    if (at == std::string::npos) return;
+/// Replaces the number after each occurrence of `key` with "_".
+void MaskNumbers(std::string& report, const std::string& key) {
+  for (size_t at = report.find(key); at != std::string::npos;
+       at = report.find(key, at)) {
     at += key.size();
     size_t end = at;
     while (end < report.size() &&
@@ -98,15 +93,10 @@ void MaskNumbers(std::string& report, const std::string& after,
 
 /// Masks what a run cannot reproduce: every "busy_ns" value (wall-clock
 /// CPU time), every histogram's count/sum/min/max/quantiles (timings),
-/// keeping the histogram's name, type, unit and labels, and the
-/// health.mailbox_depth values. SimLink's Flush leaves that gauge at the
-/// reassembly high-water mark of whichever inbound link it visits last,
-/// and it visits links in pointer order, so the value depends on heap
-/// addresses. One registry series per line so a diff points at the
-/// series.
+/// keeping the histogram's name, type, unit and labels. One registry
+/// series per line so a diff points at the series.
 std::string Deterministic(std::string report) {
-  MaskNumbers(report, "", "\"busy_ns\":");
-  MaskNumbers(report, "\"name\":\"health.mailbox_depth\"", "\"value\":");
+  MaskNumbers(report, "\"busy_ns\":");
   const std::string hist = "\"type\":\"histogram\"";
   for (size_t at = report.find(hist); at != std::string::npos;
        at = report.find(hist, at)) {

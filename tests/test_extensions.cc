@@ -87,75 +87,5 @@ TEST(VarianceExtension, ParserAccepts) {
   EXPECT_EQ(q2.value().agg.fn, AggregationFunction::kStdDev);
 }
 
-TEST(ApproximateQuantiles, CapBoundsStateSize) {
-  SortedState s;
-  s.set_sample_cap(64);
-  Rng rng(9);
-  for (int i = 0; i < 100'000; ++i) {
-    s.Add(static_cast<double>(rng.NextBounded(1'000'000)));
-  }
-  s.Seal();
-  EXPECT_LE(s.size(), 64u);
-}
-
-TEST(ApproximateQuantiles, QuantilesStayAccurate) {
-  SortedState exact;
-  SortedState approx;
-  approx.set_sample_cap(256);
-  Rng rng(10);
-  for (int i = 0; i < 50'000; ++i) {
-    const double v = static_cast<double>(rng.NextBounded(1'000'000));
-    exact.Add(v);
-    approx.Add(v);
-  }
-  exact.Seal();
-  approx.Seal();
-  for (double q : {0.01, 0.1, 0.5, 0.9, 0.99}) {
-    // Rank error O(1/cap) translates to value error ~ range/cap for a
-    // uniform distribution; allow 3x slack.
-    EXPECT_NEAR(approx.Quantile(q), exact.Quantile(q), 3e6 / 256.0)
-        << "q=" << q;
-  }
-}
-
-TEST(ApproximateQuantiles, MergedSketchesStayBoundedAndAccurate) {
-  SortedState exact;
-  SortedState a;
-  SortedState b;
-  a.set_sample_cap(256);
-  b.set_sample_cap(256);
-  Rng rng(11);
-  for (int i = 0; i < 20'000; ++i) {
-    const double v = static_cast<double>(rng.NextBounded(100'000));
-    exact.Add(v);
-    (i % 2 == 0 ? a : b).Add(v);
-  }
-  exact.Seal();
-  a.Seal();
-  b.Seal();
-  a.Merge(b);
-  EXPECT_LE(a.size(), 256u);
-  EXPECT_NEAR(a.Median(), exact.Median(), 3e5 / 256.0);
-}
-
-TEST(ApproximateQuantiles, SerializationPreservesCap) {
-  SortedState s;
-  s.set_sample_cap(16);
-  for (int i = 0; i < 1000; ++i) s.Add(static_cast<double>(i));
-  s.Seal();
-  ByteWriter out;
-  s.SerializeTo(out);
-  ByteReader in(out.bytes());
-  SortedState back = SortedState::DeserializeFrom(in);
-  EXPECT_LE(back.size(), 16u);
-  // Merging after deserialization keeps respecting the cap.
-  SortedState other;
-  other.set_sample_cap(16);
-  for (int i = 0; i < 1000; ++i) other.Add(static_cast<double>(i) + 0.5);
-  other.Seal();
-  back.Merge(other);
-  EXPECT_LE(back.size(), 16u);
-}
-
 }  // namespace
 }  // namespace desis
