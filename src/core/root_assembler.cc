@@ -3,79 +3,45 @@
 #include <algorithm>
 #include <cassert>
 
-#include "core/spec_layout.h"
 #include "obs/flight_recorder.h"
 
 namespace desis {
-namespace {
-
-int64_t FloorDiv(int64_t a, int64_t b) {
-  int64_t q = a / b;
-  if ((a % b != 0) && ((a < 0) != (b < 0))) --q;
-  return q;
-}
-
-}  // namespace
 
 RootAssembler::RootAssembler(QueryGroup group, EngineStats* stats,
                              WindowSink sink)
-    : group_(std::move(group)), stats_(stats), sink_(std::move(sink)) {
+    : assembler_(std::move(group), stats),
+      stats_(stats),
+      sink_(std::move(sink)) {
   // The canonical spec layout (core/spec_layout.h) keeps EpInfo::spec_idx
   // values and factor-plan edges consistent between local slicers, the
   // planner, and this assembler.
-  for (SpecLayoutEntry& entry : DeriveSpecLayout(group_)) {
-    const auto si = static_cast<uint32_t>(specs_.size());
-    SpecState st;
-    st.spec = entry.spec;
-    st.lane_filter = entry.lane_filter;
-    st.query_idxs = std::move(entry.query_idxs);
-    specs_.push_back(std::move(st));
-    if (entry.spec.type == WindowType::kSession) {
-      session_specs_.push_back(si);
-    } else if (entry.spec.type == WindowType::kUserDefined) {
-      ud_specs_.push_back(si);
-    }
-  }
-  spec_is_feeder_.assign(specs_.size(), false);
-  if (group_.plan.optimized) {
-    for (uint32_t si = 0; si < specs_.size(); ++si) {
-      const int32_t f = group_.plan.FeederOf(si);
-      if (f >= 0 && static_cast<size_t>(f) < specs_.size()) {
-        spec_is_feeder_[static_cast<size_t>(f)] = true;
-      }
-    }
-  }
-  for (uint32_t si = 0; si < specs_.size(); ++si) fixed_order_.push_back(si);
+  for (uint32_t si = 0; si < assembler_.specs().size(); ++si) AddSpec(si);
+  const GroupPlan& plan = assembler_.group().plan;
   std::stable_sort(fixed_order_.begin(), fixed_order_.end(),
                    [&](uint32_t a, uint32_t b) {
-                     return group_.plan.DepthOf(a) < group_.plan.DepthOf(b);
+                     return plan.DepthOf(a) < plan.DepthOf(b);
                    });
-  active_from_.assign(group_.queries.size(), kNoTimestamp);
+}
+
+void RootAssembler::AddSpec(uint32_t si) {
+  const SpecLayoutEntry& entry = assembler_.specs()[si];
+  SpecState st;
+  st.spec = entry.spec;
+  st.lane_filter = entry.lane_filter;
+  specs_.push_back(std::move(st));
+  fixed_order_.push_back(si);  // runtime specs join the DAG unfactored
+  if (entry.spec.type == WindowType::kSession) {
+    session_specs_.push_back(si);
+  } else if (entry.spec.type == WindowType::kUserDefined) {
+    ud_specs_.push_back(si);
+  }
 }
 
 void RootAssembler::ApplyQueryAdd(const Query& q, uint32_t lane,
                                   const SelectionLane& lane_def,
                                   Timestamp active_from) {
-  const OperatorMask q_ops = OperatorsFor(q.agg.fn);
-  const bool new_lane = lane >= group_.lanes.size();
-  if (new_lane) group_.lanes.push_back(lane_def);
-  // Plain union once entries exist (see StreamSlicer::ApplyQueryAdd).
-  const bool cold = !initialized_;
-  auto widen = [&](OperatorMask m) {
-    const auto u = static_cast<OperatorMask>(m | q_ops);
-    return cold ? ReduceMask(u) : u;
-  };
-  group_.mask = widen(group_.mask);
-  if (group_.plan.optimized) {
-    auto& lm = group_.plan.lane_masks;
-    if (lm.size() < group_.lanes.size()) lm.resize(group_.lanes.size(), 0);
-    if (new_lane) {
-      lm.back() = ReduceMask(q_ops);
-    } else if (lm[lane] != 0) {
-      lm[lane] = widen(lm[lane]);
-    }
-  }
-
+  // Plain union once entries exist (see WindowAssembler::WidenMasks).
+  assembler_.WidenMasks(q, lane, /*cold=*/!initialized_);
   // Never emit a window that was already (even partially) closed or whose
   // entries were garbage collected before this query arrived.
   if (last_advanced_ != kNoTimestamp) {
@@ -83,50 +49,18 @@ void RootAssembler::ApplyQueryAdd(const Query& q, uint32_t lane,
                       ? last_advanced_
                       : std::max(active_from, last_advanced_);
   }
-  const auto qi = static_cast<uint32_t>(group_.queries.size());
-  group_.queries.push_back({q, lane});
-  active_from_.resize(group_.queries.size(), kNoTimestamp);
-  active_from_.back() = active_from;
-
-  const int lane_filter =
-      SpecLaneScoped(q.window) ? static_cast<int>(lane) : -1;
-  uint32_t si = 0;
-  for (; si < specs_.size(); ++si) {
-    if (specs_[si].spec == q.window && specs_[si].lane_filter == lane_filter) {
-      break;
-    }
+  const uint32_t si = assembler_.AddQuery(q, lane, lane_def, active_from);
+  if (si < specs_.size()) return;
+  AddSpec(si);
+  const WindowSpec& spec = specs_[si].spec;
+  if (spec.measure == WindowMeasure::kTime && spec.IsFixedSize() &&
+      initialized_) {
+    const Timestamp base =
+        last_advanced_ == kNoTimestamp ? first_start_ : last_advanced_;
+    specs_[si].next_ep =
+        (FloorDiv(base - spec.length, spec.slide) + 1) * spec.slide +
+        spec.length;
   }
-  if (si == specs_.size()) {
-    SpecState st;
-    st.spec = q.window;
-    st.lane_filter = lane_filter;
-    specs_.push_back(std::move(st));
-    spec_is_feeder_.push_back(false);
-    fixed_order_.push_back(si);  // runtime specs join the DAG unfactored
-    if (q.window.type == WindowType::kSession) {
-      session_specs_.push_back(si);
-    } else if (q.window.type == WindowType::kUserDefined) {
-      ud_specs_.push_back(si);
-    } else if (q.window.measure == WindowMeasure::kTime &&
-               q.window.IsFixedSize() && initialized_) {
-      const int64_t l = q.window.length;
-      const int64_t s = q.window.slide;
-      const Timestamp base =
-          last_advanced_ == kNoTimestamp ? first_start_ : last_advanced_;
-      specs_[si].next_ep = (FloorDiv(base - l, s) + 1) * s + l;
-    }
-  }
-  specs_[si].query_idxs.push_back(qi);
-}
-
-bool RootAssembler::SuppressQuery(QueryId id) {
-  for (const GroupedQuery& gq : group_.queries) {
-    if (gq.query.id == id && !suppressed_.contains(id)) {
-      suppressed_.insert(id);
-      return true;
-    }
-  }
-  return false;
 }
 
 void RootAssembler::InitializeSchedules(Timestamp first_start) {
@@ -165,39 +99,6 @@ void RootAssembler::AddPartial(SliceRecord&& msg) {
 #endif
   assert((session_specs_.empty() || session_cursor_.first == kNoTimestamp ||
           EntryKey{msg.start, msg.end} > session_cursor_));
-  auto [it, inserted] = entries_.try_emplace(EntryKey{msg.start, msg.end});
-  Entry& entry = it->second;
-  if (inserted) {
-    entry.start = msg.start;
-    entry.end = msg.end;
-    entry.last_event_ts = msg.last_event_ts;
-    entry.lanes = std::move(msg.lanes);
-    entry.lane_events = std::move(msg.lane_events);
-    entry.lane_last_ts = std::move(msg.lane_last_ts);
-    entry.reports = 1;
-    ++stats_->slices_created;  // a new root slice
-  } else {
-    // Lane counts may disagree transiently while a runtime query add rolls
-    // through the cluster (a local that already grew ships wider slices
-    // than one that hasn't); merge the shared prefix and adopt any lanes
-    // this entry hasn't seen yet.
-    const size_t shared = std::min(entry.lanes.size(), msg.lanes.size());
-    for (size_t i = 0; i < shared; ++i) {
-      if (msg.lane_events[i] == 0) continue;
-      PartialAggregate::MergeCompatible(entry.lanes[i], msg.lanes[i]);
-      entry.lane_events[i] += msg.lane_events[i];
-      entry.lane_last_ts[i] = std::max(entry.lane_last_ts[i], msg.lane_last_ts[i]);
-      ++stats_->merges;
-    }
-    for (size_t i = entry.lanes.size(); i < msg.lanes.size(); ++i) {
-      entry.lanes.push_back(std::move(msg.lanes[i]));
-      entry.lane_events.push_back(msg.lane_events[i]);
-      entry.lane_last_ts.push_back(msg.lane_last_ts[i]);
-    }
-    entry.last_event_ts = std::max(entry.last_event_ts, msg.last_event_ts);
-    ++entry.reports;
-  }
-
   // User-defined end punctuations: children that saw the delimiting marker
   // ship an ep; deduplicate by window end (markers are stream-global).
   for (const EpInfo& ep : msg.eps) {
@@ -220,130 +121,60 @@ void RootAssembler::AddPartial(SliceRecord&& msg) {
                 });
     }
   }
+
+  auto [it, inserted] = entries_.try_emplace(EntryKey{msg.start, msg.end});
+  SliceRecord& entry = it->second;
+  if (inserted) {
+    entry = std::move(msg);
+    ++stats_->slices_created;  // a new root slice
+    return;
+  }
+  // Lane counts may disagree transiently while a runtime query add rolls
+  // through the cluster (a local that already grew ships wider slices than
+  // one that hasn't); merge the shared prefix and adopt any lanes this
+  // entry hasn't seen yet.
+  const size_t shared = std::min(entry.lanes.size(), msg.lanes.size());
+  for (size_t i = 0; i < shared; ++i) {
+    if (msg.lane_events[i] == 0) continue;
+    PartialAggregate::MergeCompatible(entry.lanes[i], msg.lanes[i]);
+    entry.lane_events[i] += msg.lane_events[i];
+    entry.lane_last_ts[i] =
+        std::max(entry.lane_last_ts[i], msg.lane_last_ts[i]);
+    ++stats_->merges;
+  }
+  for (size_t i = entry.lanes.size(); i < msg.lanes.size(); ++i) {
+    entry.lanes.push_back(std::move(msg.lanes[i]));
+    entry.lane_events.push_back(msg.lane_events[i]);
+    entry.lane_last_ts.push_back(msg.lane_last_ts[i]);
+  }
+  entry.last_event_ts = std::max(entry.last_event_ts, msg.last_event_ts);
 }
 
 void RootAssembler::AssembleWindow(uint32_t spec_idx, Timestamp ws,
                                    Timestamp we) {
   any_closed_ = true;
-  const SpecState& st = specs_[spec_idx];
-
-  // Factor-window execution mirrors StreamSlicer::CloseWindow: feeder
-  // windows keep their merged per-lane states (under the lane masks) and
-  // dependents merge one composite per covered feeder range, falling back
-  // to the entry scan for uncovered ranges.
-  const bool is_feeder =
-      spec_idx < spec_is_feeder_.size() && spec_is_feeder_[spec_idx];
-  const FactorComposite* own_composite = nullptr;
-  if (is_feeder) {
-    FactorComposite composite;
-    composite.lanes.reserve(group_.lanes.size());
-    composite.lane_events.assign(group_.lanes.size(), 0);
-    for (uint32_t lane = 0; lane < group_.lanes.size(); ++lane) {
-      PartialAggregate acc(LaneMask(lane));
-      acc.Seal();
-      for (auto it = entries_.lower_bound(EntryKey{ws, kNoTimestamp});
-           it != entries_.end() && it->second.start < we; ++it) {
-        const Entry& entry = it->second;
-        if (entry.end > we || lane >= entry.lane_events.size() ||
-            entry.lane_events[lane] == 0) {
-          continue;
-        }
-        PartialAggregate::MergeCompatible(acc, entry.lanes[lane]);
-        composite.lane_events[lane] += entry.lane_events[lane];
-        ++stats_->merges;
-      }
-      composite.lanes.push_back(std::move(acc));
+  // The window's slices are the entries inside [ws, we). A user-defined
+  // window ends on its marker, inclusively: a slice a child sealed at the
+  // marker's own timestamp (a session that opened on the marker) starts at
+  // `we` and still belongs to it.
+  const bool on_marker =
+      specs_[spec_idx].spec.type == WindowType::kUserDefined;
+  auto source = [&](Timestamp from, Timestamp to, auto&& fn) {
+    from = std::max(from, ws);
+    to = std::min(to, we);
+    for (auto it = entries_.lower_bound(EntryKey{from, kNoTimestamp});
+         it != entries_.end() &&
+         (it->second.start < to || (on_marker && it->second.start == to));
+         ++it) {
+      if (it->second.end <= to) fn(it->second);
     }
-    own_composite = &(composites_[{ws, we}] = std::move(composite));
-  }
-  const int32_t feeder =
-      group_.plan.optimized ? group_.plan.FeederOf(spec_idx) : -1;
-  const Timestamp feeder_len =
-      feeder >= 0 && static_cast<size_t>(feeder) < specs_.size()
-          ? specs_[static_cast<size_t>(feeder)].spec.length
-          : 0;
-
-  for (uint32_t lane = 0; lane < group_.lanes.size(); ++lane) {
-    OperatorMask needed = 0;
-    for (uint32_t qi : st.query_idxs) {
-      if (group_.queries[qi].lane == lane &&
-          !suppressed_.contains(group_.queries[qi].query.id) &&
-          ActiveFor(qi, ws)) {
-        needed |= OperatorsFor(group_.queries[qi].query.agg.fn);
-      }
-    }
-    if (needed == 0) continue;
-    needed = ResolveNeeded(needed, LaneMask(lane));
-
-    PartialAggregate acc(needed);
-    acc.Seal();
-    uint64_t events = 0;
-    // Entries inside [lo, hi) with events on this lane, in start order.
-    auto for_each_entry_in = [&](Timestamp lo, Timestamp hi, auto&& fn) {
-      for (auto it = entries_.lower_bound(EntryKey{lo, kNoTimestamp});
-           it != entries_.end() && it->second.start < hi; ++it) {
-        const Entry& entry = it->second;
-        if (entry.end <= hi && lane < entry.lane_events.size() &&
-            entry.lane_events[lane] != 0) {
-          fn(entry);
-        }
-      }
-    };
-    auto merge_entries_in = [&](Timestamp lo, Timestamp hi) {
-      for_each_entry_in(lo, hi, [&](const Entry& entry) {
-        PartialAggregate::MergeCompatible(acc, entry.lanes[lane]);
-        events += entry.lane_events[lane];
-        ++stats_->merges;
+  };
+  assembler_.Assemble(
+      spec_idx, ws, we, source, ResidentLanes{},
+      [&](const Query& q, const PartialAggregate& acc, uint64_t events) {
+        if (sink_) sink_({q.id, ws, we, acc.Finalize(q.agg), events});
+        ++stats_->windows_fired;
       });
-    };
-    if (own_composite != nullptr) {
-      if (own_composite->lane_events[lane] != 0) {
-        acc.Merge(own_composite->lanes[lane]);
-        events = own_composite->lane_events[lane];
-        ++stats_->merges;
-      }
-    } else if (feeder_len > 0) {
-      for (Timestamp sub = ws; sub < we; sub += feeder_len) {
-        const Timestamp sub_end = std::min(sub + feeder_len, we);
-        auto cit = composites_.find({sub, sub_end});
-        if (cit != composites_.end()) {
-          const FactorComposite& c = cit->second;
-          if (lane < c.lanes.size() && c.lane_events[lane] != 0) {
-            PartialAggregate::MergeCompatible(acc, c.lanes[lane]);
-            events += c.lane_events[lane];
-            ++stats_->merges;
-          }
-        } else {
-          merge_entries_in(sub, sub_end);
-        }
-      }
-    } else {
-      if (MaskHas(needed, OperatorKind::kNonDecomposableSort)) {
-        // A sort lane appends every entry's runs: reserve them in one step
-        // rather than through a chain of doubling reallocations.
-        size_t sort_values = 0;
-        for_each_entry_in(ws, we, [&](const Entry& entry) {
-          const SortedState& s = entry.lanes[lane].sorted_state();
-          if (!s.sketch()) sort_values += s.size();
-        });
-        acc.ReserveHint(sort_values);
-      }
-      merge_entries_in(ws, we);
-    }
-    if (events == 0) continue;
-
-    for (uint32_t qi : st.query_idxs) {
-      const GroupedQuery& gq = group_.queries[qi];
-      if (gq.lane != lane || suppressed_.contains(gq.query.id) ||
-          !ActiveFor(qi, ws)) {
-        continue;
-      }
-      if (sink_) {
-        sink_({gq.query.id, ws, we, acc.Finalize(gq.query.agg), events});
-      }
-      ++stats_->windows_fired;
-    }
-  }
 }
 
 void RootAssembler::ScanSessionsUpTo(Timestamp watermark) {
@@ -355,7 +186,7 @@ void RootAssembler::ScanSessionsUpTo(Timestamp watermark) {
                 ? entries_.begin()
                 : entries_.upper_bound(session_cursor_);
   for (; it != entries_.end() && it->second.end <= watermark; ++it) {
-    const Entry& entry = it->second;
+    const SliceRecord& entry = it->second;
     session_cursor_ = it->first;
     for (uint32_t si : session_specs_) {
       SpecState& st = specs_[si];
@@ -454,26 +285,8 @@ void RootAssembler::CollectGarbage(Timestamp watermark) {
     }
     entries_.erase(entries_.begin());
   }
-  if (!composites_.empty()) {
-    Timestamp comp_keep = kMaxTimestamp;
-    bool any_dependent = false;
-    for (uint32_t si = 0; si < specs_.size(); ++si) {
-      if (!group_.plan.optimized || group_.plan.FeederOf(si) < 0) continue;
-      any_dependent = true;
-      const SpecState& st = specs_[si];
-      if (st.next_ep != kNoTimestamp) {
-        comp_keep = std::min(comp_keep, st.next_ep - st.spec.length);
-      }
-    }
-    if (!any_dependent) {
-      composites_.clear();
-    } else {
-      while (!composites_.empty() &&
-             composites_.begin()->first.second <= comp_keep) {
-        composites_.erase(composites_.begin());
-      }
-    }
-  }
+  assembler_.CollectComposites(
+      [&](uint32_t si) { return specs_[si].next_ep; });
 }
 
 }  // namespace desis

@@ -3,13 +3,13 @@
 
 #include <deque>
 #include <map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "core/query_analyzer.h"
 #include "core/slicer.h"
 #include "core/stats.h"
+#include "core/window_assembler.h"
 
 namespace desis {
 
@@ -33,39 +33,23 @@ class RootAssembler {
   /// over all children's watermarks).
   void AdvanceTo(Timestamp watermark);
 
-  const QueryGroup& group() const { return group_; }
+  const QueryGroup& group() const { return assembler_.group(); }
   size_t pending_entries() const { return entries_.size(); }
 
-  /// Registers one query at runtime (incremental group maintenance, §3.2);
-  /// mirrors StreamSlicer::ApplyQueryAdd. `active_from` additionally gets
+  /// Registers one query at runtime (incremental group maintenance, §3.2),
+  /// like StreamSlicer::ApplyQueryAdd. `active_from` additionally gets
   /// raised past the last advanced watermark so the new query never sees a
   /// window whose entries were already (partially) garbage collected.
   void ApplyQueryAdd(const Query& q, uint32_t lane,
                      const SelectionLane& lane_def, Timestamp active_from);
 
   /// Stops emitting results for `id` (runtime query removal, §3.2).
-  bool SuppressQuery(QueryId id);
+  bool SuppressQuery(QueryId id) { return assembler_.SuppressQuery(id); }
 
  private:
-  struct Entry {
-    Timestamp start;
-    Timestamp end;
-    Timestamp last_event_ts;
-    std::vector<PartialAggregate> lanes;
-    std::vector<uint64_t> lane_events;
-    std::vector<Timestamp> lane_last_ts;
-    int reports = 0;
-
-    uint64_t TotalEvents() const {
-      uint64_t total = 0;
-      for (uint64_t n : lane_events) total += n;
-      return total;
-    }
-  };
   struct SpecState {
     WindowSpec spec;
-    std::vector<uint32_t> query_idxs;
-    // Mirrors the slicer's lane scoping for dynamic/count windows.
+    // The slicer's lane scoping for session windows.
     int lane_filter = -1;
     // Fixed time windows: next scheduled window end.
     Timestamp next_ep = kNoTimestamp;
@@ -79,27 +63,15 @@ class RootAssembler {
   };
   using EntryKey = std::pair<Timestamp, Timestamp>;
 
+  void AddSpec(uint32_t si);
   void InitializeSchedules(Timestamp first_start);
-  // Merges entries covered by [ws, we] and emits one result per query.
+  // Merges the entries inside [ws, we) and emits one result per query.
   void AssembleWindow(uint32_t spec_idx, Timestamp ws, Timestamp we);
   // Feeds completed entries to the session trackers in global time order.
   void ScanSessionsUpTo(Timestamp watermark);
   void CollectGarbage(Timestamp watermark);
 
-  /// Effective lane mask under the group plan (group mask when static).
-  OperatorMask LaneMask(uint32_t lane) const {
-    const auto& lm = group_.plan.lane_masks;
-    return (group_.plan.optimized && lane < lm.size() && lm[lane] != 0)
-               ? lm[lane]
-               : group_.mask;
-  }
-  bool ActiveFor(uint32_t qi, Timestamp ws) const {
-    const Timestamp af =
-        qi < active_from_.size() ? active_from_[qi] : kNoTimestamp;
-    return af == kNoTimestamp || ws >= af;
-  }
-
-  QueryGroup group_;
+  WindowAssembler assembler_;
   EngineStats* stats_;
   WindowSink sink_;
   std::vector<SpecState> specs_;
@@ -109,23 +81,14 @@ class RootAssembler {
   /// before dependents at each watermark), spec index second. Identical to
   /// plain index order when no plan is active.
   std::vector<uint32_t> fixed_order_;
-  std::map<EntryKey, Entry> entries_;
+  /// Root slices: every child's partial for one (start, end) merged into
+  /// one record.
+  std::map<EntryKey, SliceRecord> entries_;
   EntryKey session_cursor_{kNoTimestamp, kNoTimestamp};
   bool initialized_ = false;
   bool any_closed_ = false;
   Timestamp first_start_ = kMaxTimestamp;
   Timestamp last_advanced_ = kNoTimestamp;
-  std::unordered_set<QueryId> suppressed_;
-  std::vector<Timestamp> active_from_;
-  /// Factor-window execution at the root: closed feeder windows' per-lane
-  /// states (under the lane masks), keyed by (start, end); dependents merge
-  /// one composite per covered feeder range instead of every entry in it.
-  struct FactorComposite {
-    std::vector<PartialAggregate> lanes;
-    std::vector<uint64_t> lane_events;
-  };
-  std::map<EntryKey, FactorComposite> composites_;
-  std::vector<bool> spec_is_feeder_;
 };
 
 }  // namespace desis

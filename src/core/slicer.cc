@@ -13,13 +13,6 @@
 namespace desis {
 namespace {
 
-// Floor division for possibly-negative numerators.
-int64_t FloorDiv(int64_t a, int64_t b) {
-  int64_t q = a / b;
-  if ((a % b != 0) && ((a < 0) != (b < 0))) --q;
-  return q;
-}
-
 uint64_t HashEvent(const Event& e) {
   // 64-bit mix over all fields; used only for intra-slice deduplication.
   uint64_t h = static_cast<uint64_t>(e.ts) * 0x9E3779B97F4A7C15ull;
@@ -35,42 +28,33 @@ uint64_t HashEvent(const Event& e) {
 
 }  // namespace
 
-StreamSlicer::StreamSlicer(QueryGroup group, SlicerOptions options,
+StreamSlicer::StreamSlicer(QueryGroup query_group, SlicerOptions options,
                            EngineStats* stats)
-    : group_(std::move(group)), options_(options), stats_(stats) {
+    : assembler_(std::move(query_group), stats),
+      options_(options),
+      stats_(stats) {
   assert(stats_ != nullptr);
   // Deduplicate window specs: queries with identical specs share
   // punctuations, open-window bookkeeping, and window assembly. The layout
   // (core/spec_layout.h) is the canonical spec numbering shared with the
   // RootAssembler and the factor-window planner.
-  for (SpecLayoutEntry& entry : DeriveSpecLayout(group_)) {
+  for (const SpecLayoutEntry& entry : assembler_.specs()) {
     const uint32_t si = static_cast<uint32_t>(specs_.size());
     SpecState state;
     state.spec = entry.spec;
     state.lane_filter = entry.lane_filter;
-    state.query_idxs = std::move(entry.query_idxs);
     specs_.push_back(std::move(state));
     if (entry.spec.measure == WindowMeasure::kCount) {
       count_specs_.push_back(si);
     } else if (entry.spec.type == WindowType::kUserDefined) {
       ud_specs_.push_back(si);
     }
+    spec_rank_.push_back(group().plan.optimized ? group().plan.DepthOf(si)
+                                                : 0);
   }
-  spec_rank_.assign(specs_.size(), 0);
-  spec_is_feeder_.assign(specs_.size(), false);
-  if (group_.plan.optimized) {
-    for (uint32_t si = 0; si < specs_.size(); ++si) {
-      spec_rank_[si] = group_.plan.DepthOf(si);
-      const int32_t f = group_.plan.FeederOf(si);
-      if (f >= 0 && static_cast<size_t>(f) < specs_.size()) {
-        spec_is_feeder_[static_cast<size_t>(f)] = true;
-      }
-    }
-  }
-  active_from_.assign(group_.queries.size(), kNoTimestamp);
 
   // Group session specs by lane, sorted ascending by gap (see SessionLane).
-  lane_session_idx_.assign(group_.lanes.size(), -1);
+  lane_session_idx_.assign(group().lanes.size(), -1);
   for (uint32_t si = 0; si < specs_.size(); ++si) {
     const SpecState& st = specs_[si];
     if (st.spec.type != WindowType::kSession ||
@@ -92,21 +76,21 @@ StreamSlicer::StreamSlicer(QueryGroup group, SlicerOptions options,
               });
     sl.num_inactive = sl.specs_by_gap.size();
   }
-  count_heaps_.resize(group_.lanes.size());
+  count_heaps_.resize(group().lanes.size());
 
   RecomputeLaneSketch();
-  current_lanes_.reserve(group_.lanes.size());
-  for (uint32_t lane = 0; lane < group_.lanes.size(); ++lane) {
+  current_lanes_.reserve(group().lanes.size());
+  for (uint32_t lane = 0; lane < group().lanes.size(); ++lane) {
     current_lanes_.push_back(MakeLanePartial(lane));
-    any_dedup_ = any_dedup_ || group_.lanes[lane].deduplicate;
+    any_dedup_ = any_dedup_ || group().lanes[lane].deduplicate;
   }
-  lane_charged_.assign(group_.lanes.size(), 0);
-  lane_runs_.resize(group_.lanes.size());
-  lane_spilled_count_.assign(group_.lanes.size(), 0);
-  current_lane_events_.assign(group_.lanes.size(), 0);
-  current_lane_last_ts_.assign(group_.lanes.size(), kNoTimestamp);
-  lane_total_events_.assign(group_.lanes.size(), 0);
-  if (any_dedup_) dedup_sets_.resize(group_.lanes.size());
+  lane_charged_.assign(group().lanes.size(), 0);
+  lane_runs_.resize(group().lanes.size());
+  lane_spilled_count_.assign(group().lanes.size(), 0);
+  current_lane_events_.assign(group().lanes.size(), 0);
+  current_lane_last_ts_.assign(group().lanes.size(), kNoTimestamp);
+  lane_total_events_.assign(group().lanes.size(), 0);
+  if (any_dedup_) dedup_sets_.resize(group().lanes.size());
 
   RebuildBatchPlan();
 }
@@ -118,9 +102,9 @@ void StreamSlicer::RebuildBatchPlan() {
   // events that match, and dedup lanes mutate per-event state.
   batch_fast_path_ = !any_dedup_ && session_lanes_.empty() &&
                      ud_specs_.empty() && count_specs_.empty();
-  plan_.Build(group_.lanes);
-  lane_cursor_.assign(group_.lanes.size(), 0);
-  lane_last_hit_.assign(group_.lanes.size(), 0);
+  plan_.Build(group().lanes);
+  lane_cursor_.assign(group().lanes.size(), 0);
+  lane_last_hit_.assign(group().lanes.size(), 0);
 }
 
 void StreamSlicer::SelectionPlan::Build(
@@ -217,9 +201,8 @@ void StreamSlicer::set_memory(mem::MemoryGovernor* gov) {
 
 bool StreamSlicer::LaneWantsSketch(uint32_t lane, const Query* extra,
                                    uint32_t extra_lane) const {
-  if (!MaskHas(LaneMask(lane), OperatorKind::kNonDecomposableSort)) {
-    return false;
-  }
+  const OperatorMask mask = assembler_.LaneMask(lane);
+  if (!MaskHas(mask, OperatorKind::kNonDecomposableSort)) return false;
   bool any = false;
   bool all_approx = true;
   auto fold = [&](const Query& q, uint32_t q_lane) {
@@ -231,20 +214,20 @@ bool StreamSlicer::LaneWantsSketch(uint32_t lane, const Query* extra,
     any = true;
     all_approx = all_approx && q.agg.approx_quantile;
   };
-  for (const GroupedQuery& gq : group_.queries) fold(gq.query, gq.lane);
+  for (const GroupedQuery& gq : group().queries) fold(gq.query, gq.lane);
   if (extra != nullptr) fold(*extra, extra_lane);
   return any && all_approx;
 }
 
 void StreamSlicer::RecomputeLaneSketch() {
-  lane_sketch_.resize(group_.lanes.size());
-  for (uint32_t lane = 0; lane < group_.lanes.size(); ++lane) {
+  lane_sketch_.resize(group().lanes.size());
+  for (uint32_t lane = 0; lane < group().lanes.size(); ++lane) {
     lane_sketch_[lane] = LaneWantsSketch(lane, nullptr, 0) ? 1 : 0;
   }
 }
 
 PartialAggregate StreamSlicer::MakeLanePartial(uint32_t lane) const {
-  PartialAggregate p(LaneMask(lane));
+  PartialAggregate p(assembler_.LaneMask(lane));
   if (lane < lane_sketch_.size() && lane_sketch_[lane] != 0) {
     p.EnableQuantileSketch(mem::TDigest::kDefaultCompression);
   }
@@ -281,7 +264,7 @@ void StreamSlicer::UpdateDedupCharge() {
 void StreamSlicer::WarnSpillError(const Status& status) {
   if (spill_warned_) return;
   spill_warned_ = true;
-  std::fprintf(stderr, "desis: spill degraded for group %u: %s\n", group_.id,
+  std::fprintf(stderr, "desis: spill degraded for group %u: %s\n", group().id,
                status.ToString().c_str());
 }
 
@@ -316,12 +299,12 @@ uint64_t StreamSlicer::SpillOpenLane(uint32_t lane) {
   const uint64_t freed = before - lane_charged_[lane];
   gov_->NoteSpill(freed);
   if (tracer_ != nullptr) {
-    tracer_->Record(obs::SlicePhase::kSpill, current_slice_id_, group_.id,
+    tracer_->Record(obs::SlicePhase::kSpill, current_slice_id_, group().id,
                     /*query_id=*/0, obs_node_id_, obs_role_, last_seen_ts_);
   }
   if (flight_ != nullptr) {
     flight_->Record(obs::FlightEventKind::kSpill, current_slice_id_,
-                    group_.id, last_seen_ts_);
+                    group().id, last_seen_ts_);
   }
   return freed;
 }
@@ -342,11 +325,11 @@ uint64_t StreamSlicer::SpillSealedLane(SliceRecord& rec, uint32_t lane) {
   gov_->Discharge(bytes);
   gov_->NoteSpill(bytes);
   if (tracer_ != nullptr) {
-    tracer_->Record(obs::SlicePhase::kSpill, rec.id, group_.id,
+    tracer_->Record(obs::SlicePhase::kSpill, rec.id, group().id,
                     /*query_id=*/0, obs_node_id_, obs_role_, rec.end);
   }
   if (flight_ != nullptr) {
-    flight_->Record(obs::FlightEventKind::kSpill, rec.id, group_.id, rec.end);
+    flight_->Record(obs::FlightEventKind::kSpill, rec.id, group().id, rec.end);
   }
   return bytes;
 }
@@ -373,11 +356,11 @@ void StreamSlicer::MergeRecordLane(PartialAggregate& acc,
         PartialAggregate::MergeCompatible(acc, cold);
         gov_->NoteRestore(bytes);
         if (tracer_ != nullptr) {
-          tracer_->Record(obs::SlicePhase::kRestore, rec.id, group_.id,
+          tracer_->Record(obs::SlicePhase::kRestore, rec.id, group().id,
                           /*query_id=*/0, obs_node_id_, obs_role_, rec.end);
         }
         if (flight_ != nullptr) {
-          flight_->Record(obs::FlightEventKind::kRestore, rec.id, group_.id,
+          flight_->Record(obs::FlightEventKind::kRestore, rec.id, group().id,
                           rec.end);
         }
         return;
@@ -451,74 +434,41 @@ Timestamp StreamSlicer::MaxFixedWindowExtent() const {
 }
 
 bool StreamSlicer::SuppressQuery(QueryId id) {
-  for (const GroupedQuery& gq : group_.queries) {
-    if (gq.query.id == id && !suppressed_.contains(id)) {
-      suppressed_.insert(id);
-      if (queries_gauge_ != nullptr) {
-        queries_gauge_->Set(static_cast<int64_t>(active_queries()));
-      }
-      return true;
-    }
+  if (!assembler_.SuppressQuery(id)) return false;
+  if (queries_gauge_ != nullptr) {
+    queries_gauge_->Set(static_cast<int64_t>(active_queries()));
   }
-  return false;
+  return true;
 }
 
 void StreamSlicer::ApplyQueryAdd(const Query& q, uint32_t lane,
                                  const SelectionLane& lane_def,
                                  Timestamp active_from) {
-  const OperatorMask q_ops = OperatorsFor(q.agg.fn);
-  const bool new_lane = lane >= group_.lanes.size();
+  const bool new_lane = lane >= group().lanes.size();
 
   // Effective-mask snapshot: a structural change is anything that alters
   // the shape or width of the fold state.
   std::vector<OperatorMask> before;
-  before.reserve(group_.lanes.size());
-  for (uint32_t i = 0; i < group_.lanes.size(); ++i) {
-    before.push_back(LaneMask(i));
+  before.reserve(group().lanes.size());
+  for (uint32_t i = 0; i < group().lanes.size(); ++i) {
+    before.push_back(assembler_.LaneMask(i));
   }
 
-  // Runtime widening uses the plain union (never ReduceMask): dropping the
-  // decomposable-sort bit when a non-decomposable query joins would orphan
-  // the min/max state already sealed into earlier slices. Cold slicers
-  // (no slices yet) reduce, matching a cold-start configuration exactly.
-  const bool cold = !initialized_;
-  auto widen = [&](OperatorMask m) {
-    const auto u = static_cast<OperatorMask>(m | q_ops);
-    return cold ? ReduceMask(u) : u;
-  };
-  group_.mask = widen(group_.mask);
-  if (group_.plan.optimized) {
-    auto& lm = group_.plan.lane_masks;
-    if (lm.size() < group_.lanes.size()) lm.resize(group_.lanes.size(), 0);
-    if (new_lane) {
-      lm.push_back(ReduceMask(q_ops));
-    } else if (lm[lane] != 0) {
-      lm[lane] = widen(lm[lane]);
-    }  // a zero entry falls through to the group mask, already widened
-  }
+  assembler_.WidenMasks(q, lane, /*cold=*/!initialized_);
 
   bool structural = new_lane;
   for (uint32_t i = 0; i < before.size(); ++i) {
-    structural = structural || LaneMask(i) != before[i];
+    structural = structural || assembler_.LaneMask(i) != before[i];
   }
   // A sketch flip (a lane's quantile state switching between exact buffer
   // and t-digest) changes the fold-state representation, so it cuts the
   // stream like any other structural change.
-  for (uint32_t i = 0; i < group_.lanes.size(); ++i) {
+  for (uint32_t i = 0; i < group().lanes.size(); ++i) {
     const bool want = LaneWantsSketch(i, &q, lane);
     structural = structural || want != (lane_sketch_[i] != 0);
   }
 
-  // Find or register the window spec (same keying as DeriveSpecLayout).
-  const int lane_filter =
-      SpecLaneScoped(q.window) ? static_cast<int>(lane) : -1;
-  uint32_t si = 0;
-  for (; si < specs_.size(); ++si) {
-    if (specs_[si].spec == q.window && specs_[si].lane_filter == lane_filter) {
-      break;
-    }
-  }
-  const bool new_spec = si == specs_.size();
+  const bool new_spec = assembler_.FindSpec(q, lane) == specs_.size();
   structural = structural || new_spec;
 
   if (initialized_ && structural && current_slice_events_ > 0) {
@@ -529,8 +479,8 @@ void StreamSlicer::ApplyQueryAdd(const Query& q, uint32_t lane,
     FlushShippableSlice();
   }
 
+  const uint32_t si = assembler_.AddQuery(q, lane, lane_def, active_from);
   if (new_lane) {
-    group_.lanes.push_back(lane_def);
     current_lane_events_.push_back(0);
     current_lane_last_ts_.push_back(kNoTimestamp);
     lane_total_events_.push_back(0);
@@ -540,7 +490,7 @@ void StreamSlicer::ApplyQueryAdd(const Query& q, uint32_t lane,
     lane_runs_.emplace_back();
     lane_spilled_count_.push_back(0);
     any_dedup_ = any_dedup_ || lane_def.deduplicate;
-    if (any_dedup_) dedup_sets_.resize(group_.lanes.size());
+    if (any_dedup_) dedup_sets_.resize(group().lanes.size());
   }
   if (structural) {
     // The fold state is empty here (freshly sealed or never written);
@@ -552,28 +502,19 @@ void StreamSlicer::ApplyQueryAdd(const Query& q, uint32_t lane,
         c = 0;
       }
     }
-    lane_sketch_.resize(group_.lanes.size());
-    for (uint32_t i = 0; i < group_.lanes.size(); ++i) {
-      lane_sketch_[i] = LaneWantsSketch(i, &q, lane) ? 1 : 0;
-    }
+    RecomputeLaneSketch();  // the query is in the group now
     current_lanes_.clear();
-    for (uint32_t i = 0; i < group_.lanes.size(); ++i) {
+    for (uint32_t i = 0; i < group().lanes.size(); ++i) {
       current_lanes_.push_back(MakeLanePartial(i));
     }
   }
 
-  const auto qi = static_cast<uint32_t>(group_.queries.size());
-  group_.queries.push_back({q, lane});
-  active_from_.resize(group_.queries.size(), kNoTimestamp);
-  active_from_.back() = active_from;
-
   if (new_spec) {
     SpecState state;
     state.spec = q.window;
-    state.lane_filter = lane_filter;
+    state.lane_filter = assembler_.specs()[si].lane_filter;
     specs_.push_back(std::move(state));
     spec_rank_.push_back(0);  // runtime-added specs join the DAG unfactored
-    spec_is_feeder_.push_back(false);
     SpecState& st = specs_[si];
     if (st.spec.measure == WindowMeasure::kCount) {
       count_specs_.push_back(si);
@@ -623,7 +564,6 @@ void StreamSlicer::ApplyQueryAdd(const Query& q, uint32_t lane,
       ScheduleInitial(si, last_seen_ts_, current_slice_id_);
     }
   }
-  specs_[si].query_idxs.push_back(qi);
 
   RebuildBatchPlan();
 
@@ -639,8 +579,8 @@ void StreamSlicer::set_metrics(obs::MetricsRegistry* registry) {
   sketch_gauge_ = nullptr;
   for (int k = 0; k < kNumOperatorKinds; ++k) op_eval_counters_[k] = nullptr;
   if (registry == nullptr) return;
-  RegisterGroupMetrics(group_, registry);
-  const obs::Labels labels = {{"group", std::to_string(group_.id)}};
+  RegisterGroupMetrics(group(), registry);
+  const obs::Labels labels = {{"group", std::to_string(group().id)}};
   events_in_counter_ =
       registry->GetCounter("group.events_in", labels, "events");
   queries_gauge_ = registry->GetGauge("group.queries", labels, "queries");
@@ -651,7 +591,7 @@ void StreamSlicer::set_metrics(obs::MetricsRegistry* registry) {
   sketch_gauge_->Set(sketch_lanes);
   for (int k = 0; k < kNumOperatorKinds; ++k) {
     const auto kind = static_cast<OperatorKind>(k);
-    if (!MaskHas(group_.mask, kind)) continue;
+    if (!MaskHas(group().mask, kind)) continue;
     obs::Labels op_labels = labels;
     op_labels.emplace_back("op", OperatorShortName(kind));
     op_eval_counters_[k] =
@@ -886,7 +826,7 @@ uint64_t StreamSlicer::SealCurrentSlice(Timestamp end_ts) {
     // original accounting; under per-lane mask narrowing each series only
     // advances by the folds on lanes that carry that operator.
     FlushEventsInCounter();
-    if (!group_.plan.optimized) {
+    if (!group().plan.optimized) {
       for (obs::Counter* op : op_eval_counters_) {
         if (op != nullptr) op->Add(current_slice_events_);
       }
@@ -897,7 +837,9 @@ uint64_t StreamSlicer::SealCurrentSlice(Timestamp end_ts) {
         const auto kind = static_cast<OperatorKind>(k);
         uint64_t evals = 0;
         for (uint32_t lane = 0; lane < lane_events.size(); ++lane) {
-          if (MaskHas(LaneMask(lane), kind)) evals += lane_events[lane];
+          if (MaskHas(assembler_.LaneMask(lane), kind)) {
+            evals += lane_events[lane];
+          }
         }
         if (evals != 0) op_eval_counters_[k]->Add(evals);
       }
@@ -905,12 +847,12 @@ uint64_t StreamSlicer::SealCurrentSlice(Timestamp end_ts) {
   }
   if (tracer_ != nullptr) {
     tracer_->Record(obs::SlicePhase::kSliceCreated, current_slice_id_,
-                    group_.id, /*query_id=*/0, obs_node_id_, obs_role_,
+                    group().id, /*query_id=*/0, obs_node_id_, obs_role_,
                     end_ts);
   }
   if (flight_ != nullptr) {
     flight_->Record(obs::FlightEventKind::kSliceSeal, current_slice_id_,
-                    group_.id, end_ts);
+                    group().id, end_ts);
   }
 
   if (gov_ != nullptr) {
@@ -929,11 +871,11 @@ uint64_t StreamSlicer::SealCurrentSlice(Timestamp end_ts) {
   }
 
   current_lanes_.clear();
-  for (uint32_t lane = 0; lane < group_.lanes.size(); ++lane) {
+  for (uint32_t lane = 0; lane < group().lanes.size(); ++lane) {
     current_lanes_.push_back(MakeLanePartial(lane));
   }
-  current_lane_events_.assign(group_.lanes.size(), 0);
-  current_lane_last_ts_.assign(group_.lanes.size(), kNoTimestamp);
+  current_lane_events_.assign(group().lanes.size(), 0);
+  current_lane_last_ts_.assign(group().lanes.size(), kNoTimestamp);
   current_slice_events_ = 0;
   if (any_dedup_) {
     for (auto& set : dedup_sets_) set.clear();
@@ -961,129 +903,49 @@ void StreamSlicer::CloseWindow(uint32_t spec_idx,
   if (!options_.assemble_windows) return;
   if (records_.empty()) return;
 
+  // The window's slices are ids [lo, hi]; a sub-range picks those that
+  // start inside it (slice starts never decrease).
   const uint64_t base = records_.front().id;
   const uint64_t lo = std::max(window.first_slice_id, base);
   const uint64_t hi = std::min(last_slice_id, records_.back().id);
-
-  // Factor-window execution (§ optimizer): a feeder window's merged
-  // per-lane states are kept (under the lane masks, so any dependent's
-  // needed mask fits) and each dependent window merges one composite per
-  // covered feeder range instead of every base slice in it.
-  const bool is_feeder =
-      spec_idx < spec_is_feeder_.size() && spec_is_feeder_[spec_idx];
-  const FactorComposite* own_composite = nullptr;
-  if (is_feeder) {
-    FactorComposite composite;
-    composite.lanes.reserve(group_.lanes.size());
-    composite.lane_events.assign(group_.lanes.size(), 0);
-    for (uint32_t lane = 0; lane < group_.lanes.size(); ++lane) {
-      PartialAggregate acc(LaneMask(lane));
-      acc.Seal();
-      for (uint64_t id = lo; id <= hi && hi >= lo; ++id) {
-        SliceRecord& rec = records_[id - base];
-        if (lane >= rec.lane_events.size() || rec.lane_events[lane] == 0) {
-          continue;
+  auto source = [&](Timestamp from, Timestamp to, auto&& fn) {
+    if (hi < lo) return;
+    const auto first = records_.begin() + static_cast<ptrdiff_t>(lo - base);
+    const auto last = records_.begin() + static_cast<ptrdiff_t>(hi - base + 1);
+    for (auto it = std::partition_point(
+             first, last,
+             [from](const SliceRecord& rec) { return rec.start < from; });
+         it != last && it->start < to; ++it) {
+      fn(*it);
+    }
+  };
+  // Record lanes may be cold on disk: merge through MergeRecordLane and
+  // count a spilled lane's values from its run.
+  struct RecordLanes {
+    StreamSlicer* slicer;
+    void Merge(PartialAggregate& acc, const SliceRecord& rec,
+               uint32_t lane) const {
+      slicer->MergeRecordLane(acc, rec, lane);
+    }
+    size_t SortValues(const SliceRecord& rec, uint32_t lane) const {
+      const auto& spills = slicer->sealed_spills_;
+      if (!spills.empty()) {
+        const auto it = spills.find({rec.id, lane});
+        if (it != spills.end()) return it->second.represented;
+      }
+      return ResidentLanes::SortValues(rec, lane);
+    }
+  };
+  assembler_.Assemble(
+      spec_idx, window.start_ts, end_ts, source, RecordLanes{this},
+      [&](const Query& q, const PartialAggregate& acc, uint64_t events) {
+        if (window_partial_sink_) {
+          window_partial_sink_(q.id, window.start_ts, end_ts, acc, events);
+        } else if (window_sink_) {
+          window_sink_({q.id, window.start_ts, end_ts, acc.Finalize(q.agg),
+                        events});
         }
-        MergeRecordLane(acc, rec, lane);
-        composite.lane_events[lane] += rec.lane_events[lane];
-        ++stats_->merges;
-      }
-      composite.lanes.push_back(std::move(acc));
-    }
-    own_composite =
-        &(composites_[{window.start_ts, end_ts}] = std::move(composite));
-  }
-  const int32_t feeder = group_.plan.optimized
-                             ? group_.plan.FeederOf(spec_idx)
-                             : -1;
-  const Timestamp feeder_len =
-      feeder >= 0 && static_cast<size_t>(feeder) < specs_.size()
-          ? specs_[static_cast<size_t>(feeder)].spec.length
-          : 0;
-
-  // Assemble once per selection lane, then finalize once per query; queries
-  // sharing a lane share the merged operator states (§4.3).
-  for (uint32_t lane = 0; lane < group_.lanes.size(); ++lane) {
-    OperatorMask needed = 0;
-    for (uint32_t qi : st.query_idxs) {
-      const GroupedQuery& gq = group_.queries[qi];
-      if (gq.lane == lane && !suppressed_.contains(gq.query.id) &&
-          ActiveFor(qi, window.start_ts)) {
-        needed |= OperatorsFor(gq.query.agg.fn);
-      }
-    }
-    if (needed == 0) continue;
-    needed = ResolveNeeded(needed, LaneMask(lane));
-
-    PartialAggregate acc(needed);
-    acc.Seal();
-    uint64_t events = 0;
-    if (own_composite != nullptr) {
-      // This window IS the composite: one merge of the lane-mask state.
-      if (own_composite->lane_events[lane] != 0) {
-        acc.Merge(own_composite->lanes[lane]);
-        events = own_composite->lane_events[lane];
-        ++stats_->merges;
-      }
-    } else if (feeder_len > 0) {
-      uint64_t id = lo;
-      for (Timestamp sub = window.start_ts; sub < end_ts; sub += feeder_len) {
-        const Timestamp sub_end = std::min(sub + feeder_len, end_ts);
-        auto cit = composites_.find({sub, sub_end});
-        if (cit != composites_.end()) {
-          const FactorComposite& c = cit->second;
-          if (lane < c.lanes.size() && c.lane_events[lane] != 0) {
-            PartialAggregate::MergeCompatible(acc, c.lanes[lane]);
-            events += c.lane_events[lane];
-            ++stats_->merges;
-          }
-          while (id <= hi && hi >= lo && records_[id - base].start < sub_end) {
-            ++id;  // base slices covered by the composite
-          }
-        } else {
-          // No composite for this range (stream head, tail, or a
-          // runtime-added feeder): fall back to base slices.
-          for (; id <= hi && hi >= lo && records_[id - base].start < sub_end;
-               ++id) {
-            SliceRecord& rec = records_[id - base];
-            if (lane >= rec.lane_events.size() ||
-                rec.lane_events[lane] == 0) {
-              continue;
-            }
-            MergeRecordLane(acc, rec, lane);
-            events += rec.lane_events[lane];
-            ++stats_->merges;
-          }
-        }
-      }
-    } else {
-      for (uint64_t id = lo; id <= hi && hi >= lo; ++id) {
-        SliceRecord& rec = records_[id - base];
-        if (lane >= rec.lane_events.size() || rec.lane_events[lane] == 0) {
-          continue;
-        }
-        MergeRecordLane(acc, rec, lane);
-        events += rec.lane_events[lane];
-        ++stats_->merges;
-      }
-    }
-    if (events == 0) continue;
-
-    for (uint32_t qi : st.query_idxs) {
-      const GroupedQuery& gq = group_.queries[qi];
-      if (gq.lane != lane || suppressed_.contains(gq.query.id) ||
-          !ActiveFor(qi, window.start_ts)) {
-        continue;
-      }
-      if (window_partial_sink_) {
-        window_partial_sink_(gq.query.id, window.start_ts, end_ts, acc,
-                             events);
-      } else if (window_sink_) {
-        window_sink_({gq.query.id, window.start_ts, end_ts,
-                      acc.Finalize(gq.query.agg), events});
-      }
-    }
-  }
+      });
   // Assembly restored cold records and charged them; re-shed before the
   // next window (or group) restores more, so the per-relief charge delta
   // stays one window's footprint rather than accumulating across closes.
@@ -1148,28 +1010,8 @@ void StreamSlicer::CollectGarbage() {
     records_.pop_front();
   }
   maybe_recycle_spill();
-  if (!composites_.empty()) {
-    // A composite is dead once every dependent spec's earliest still-open
-    // window starts past its end.
-    Timestamp keep_from = kMaxTimestamp;
-    bool any_dependent = false;
-    for (uint32_t si = 0; si < specs_.size(); ++si) {
-      if (!group_.plan.optimized || group_.plan.FeederOf(si) < 0) continue;
-      any_dependent = true;
-      const SpecState& st = specs_[si];
-      if (st.next_ep != kNoTimestamp) {
-        keep_from = std::min(keep_from, st.next_ep - st.spec.length);
-      }
-    }
-    if (!any_dependent) {
-      composites_.clear();
-    } else {
-      while (!composites_.empty() &&
-             composites_.begin()->first.second <= keep_from) {
-        composites_.erase(composites_.begin());
-      }
-    }
-  }
+  assembler_.CollectComposites(
+      [&](uint32_t si) { return specs_[si].next_ep; });
 }
 
 void StreamSlicer::Ingest(const Event& event) {
@@ -1182,10 +1024,10 @@ void StreamSlicer::Ingest(const Event& event) {
   // into the shared operators once per matching lane.
   bool matched = false;
   matched_lanes_scratch_.clear();
-  for (uint32_t i = 0; i < group_.lanes.size(); ++i) {
+  for (uint32_t i = 0; i < group().lanes.size(); ++i) {
     ++stats_->selection_evals;
-    if (!group_.lanes[i].predicate.Matches(event)) continue;
-    if (group_.lanes[i].deduplicate) {
+    if (!group().lanes[i].predicate.Matches(event)) continue;
+    if (group().lanes[i].deduplicate) {
       if (!dedup_sets_[i].insert(HashEvent(event)).second) continue;
       ++dedup_inserted_;
     }
@@ -1314,7 +1156,7 @@ void StreamSlicer::FoldLane(uint32_t lane, const double* values, size_t m,
 }
 
 void StreamSlicer::FoldRun(const Event* run, size_t n) {
-  stats_->selection_evals += n * group_.lanes.size();
+  stats_->selection_evals += n * group().lanes.size();
   if (!plan_.all_lanes.empty() || !plan_.range_lanes.empty()) {
     run_values_.resize(n);
     for (size_t k = 0; k < n; ++k) run_values_[k] = run[k].value;

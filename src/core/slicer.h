@@ -14,6 +14,7 @@
 #include "core/operators.h"
 #include "core/query_analyzer.h"
 #include "core/stats.h"
+#include "core/window_assembler.h"
 #include "mem/memory_governor.h"
 #include "obs/flight_recorder.h"
 #include "obs/trace.h"
@@ -46,12 +47,6 @@ struct SliceRecord {
   std::vector<Timestamp> lane_last_ts;
   /// Windows that ended at `end` (used by user-defined windows downstream).
   std::vector<EpInfo> eps;
-
-  uint64_t TotalEvents() const {
-    uint64_t total = 0;
-    for (uint64_t n : lane_events) total += n;
-    return total;
-  }
 };
 
 using SliceSink = std::function<void(const SliceRecord&)>;
@@ -157,7 +152,7 @@ class StreamSlicer : public mem::SpillClient {
   /// Advances event time, firing punctuations at or before `watermark`.
   void AdvanceTo(Timestamp watermark);
 
-  const QueryGroup& group() const { return group_; }
+  const QueryGroup& group() const { return assembler_.group(); }
 
   /// Registers one query into the running slicer (incremental group
   /// maintenance, §3.2): `lane` is the lane the query binds to (==
@@ -175,7 +170,7 @@ class StreamSlicer : public mem::SpillClient {
   /// Returns false if the id is not in this group.
   bool SuppressQuery(QueryId id);
   /// Number of queries still active (not suppressed).
-  size_t active_queries() const { return group_.queries.size() - suppressed_.size(); }
+  size_t active_queries() const { return assembler_.active_queries(); }
 
   /// Largest window extent over the group's fixed-size windows, in
   /// microseconds; used by callers to pick a final flush watermark.
@@ -195,7 +190,6 @@ class StreamSlicer : public mem::SpillClient {
   // share punctuations, open-window bookkeeping, and assembly.
   struct SpecState {
     WindowSpec spec;
-    std::vector<uint32_t> query_idxs;  // indices into group_.queries
     // Session, user-defined and count windows are scoped to one selection
     // lane (their boundaries depend on which events match); fixed time
     // windows are lane-independent (-1).
@@ -248,13 +242,6 @@ class StreamSlicer : public mem::SpillClient {
     }
   };
 
-  /// Sealed per-lane states of one closed feeder window, kept under the
-  /// group plan's lane masks so any dependent query's needed mask fits.
-  struct FactorComposite {
-    std::vector<PartialAggregate> lanes;
-    std::vector<uint64_t> lane_events;
-  };
-
   /// How the batch path selects each lane's events from a run. Lanes split
   /// by predicate shape: match-all lanes, range-only lanes, and key lanes,
   /// which sit in an open-addressing key -> lane-chain table. A chain lists
@@ -299,20 +286,6 @@ class StreamSlicer : public mem::SpillClient {
   void Initialize(Timestamp first_ts);
   void ScheduleInitial(uint32_t spec_idx, Timestamp first_ts,
                        uint64_t first_slice_id = 0);
-  /// Effective fold mask for a lane: the plan's reduced per-lane mask when
-  /// a plan is active, else the group mask (static behaviour).
-  OperatorMask LaneMask(uint32_t lane) const {
-    const auto& lm = group_.plan.lane_masks;
-    return (group_.plan.optimized && lane < lm.size() && lm[lane] != 0)
-               ? lm[lane]
-               : group_.mask;
-  }
-  /// False while windows starting at `ws` predate the query's activation.
-  bool ActiveFor(uint32_t qi, Timestamp ws) const {
-    const Timestamp af =
-        qi < active_from_.size() ? active_from_[qi] : kNoTimestamp;
-    return af == kNoTimestamp || ws >= af;
-  }
   // Fires all time-based punctuations (incl. session deadlines) <= limit.
   void ProcessBoundariesUpTo(Timestamp limit);
   // Earliest pending time punctuation (kMaxTimestamp when none). Only valid
@@ -387,7 +360,8 @@ class StreamSlicer : public mem::SpillClient {
     pending_events_in_ = 0;
   }
 
-  QueryGroup group_;
+  /// The group, its spec layout and window assembly (§4.3).
+  WindowAssembler assembler_;
   SlicerOptions options_;
   EngineStats* stats_;
   obs::SliceTracer* tracer_ = nullptr;
@@ -445,17 +419,7 @@ class StreamSlicer : public mem::SpillClient {
   std::vector<uint64_t> lane_total_events_;
   std::vector<Timestamp> current_lane_last_ts_;
   Timestamp last_seen_ts_ = kNoTimestamp;
-  std::unordered_set<QueryId> suppressed_;
-  /// Per-query activation watermark (parallel to group_.queries):
-  /// kNoTimestamp = active since the beginning. See ApplyQueryAdd.
-  std::vector<Timestamp> active_from_;
-  /// Factor-window execution (plan.feeder): closed feeder windows keyed by
-  /// (start, end); dependents merge one composite per covered sub-range
-  /// instead of every base slice, falling back to base slices for ranges
-  /// without a composite (stream head, runtime-added specs).
-  std::map<std::pair<Timestamp, Timestamp>, FactorComposite> composites_;
-  std::vector<uint8_t> spec_rank_;      // plan DAG depth per spec
-  std::vector<bool> spec_is_feeder_;    // spec feeds at least one dependent
+  std::vector<uint8_t> spec_rank_;  // plan DAG depth per spec
   std::vector<uint32_t> matched_lanes_scratch_;
   // FoldRun scratch: the run's value column, the selected values of the
   // lane being folded (or of all key lanes, grouped by lane), the key

@@ -89,12 +89,6 @@ struct SlicePartialMsg {
   std::vector<Timestamp> lane_last_ts;
   std::vector<EpInfo> eps;
 
-  uint64_t TotalEvents() const {
-    uint64_t total = 0;
-    for (uint64_t n : lane_events) total += n;
-    return total;
-  }
-
   static SlicePartialMsg FromRecord(const SliceRecord& rec,
                                     Timestamp watermark);
   /// Inverse of FromRecord (the shipped watermark is transport metadata and

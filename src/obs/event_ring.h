@@ -1,10 +1,13 @@
 #ifndef DESIS_SRC_OBS_EVENT_RING_H_
 #define DESIS_SRC_OBS_EVENT_RING_H_
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <new>
 #include <type_traits>
 #include <vector>
 
@@ -26,12 +29,15 @@ inline int64_t SteadyNowNs() {
 /// lock — and is safe from any thread. Once full, the oldest records are
 /// overwritten (`dropped()` counts them).
 ///
-/// Records are stored word by word in relaxed cells, so two Push() calls
-/// whose tickets alias one slot (ring wrap) interleave per word instead of
-/// racing on plain memory; Snapshot() skips a slot whose `seq` is not the
-/// ticket it expects. The counters are always safe to read; Snapshot()
-/// wants quiescence (no Push() in flight), but a torn slot degrades to a
-/// skipped record, never UB.
+/// Records are stored word by word through relaxed atomic refs, so two
+/// Push() calls whose tickets alias one slot (ring wrap) interleave per word
+/// instead of racing on plain memory; Snapshot() skips a slot whose `seq`
+/// is not the ticket it expects. The counters are always safe to read;
+/// Snapshot() wants quiescence (no Push() in flight), but a torn slot
+/// degrades to a skipped record, never UB.
+///
+/// The slots come zeroed from calloc, which hands out fresh pages without
+/// writing them: constructing a ring touches none of its slot memory.
 ///
 /// T is a padding-free struct of whole 64-bit words; callers pack small
 /// fields to keep slots compact (a slot is `sizeof(T)` plus the seq word).
@@ -44,8 +50,19 @@ class EventRing {
   static constexpr size_t kWords = sizeof(T) / sizeof(uint64_t);
 
   struct Slot {
-    RelaxedU64 seq;  // ticket + 1 of the last completed write; 0 = never
-    RelaxedU64 words[kWords];
+    uint64_t seq;  // ticket + 1 of the last completed write; 0 = never
+    uint64_t words[kWords];
+  };
+  static_assert(alignof(uint64_t) >=
+                std::atomic_ref<uint64_t>::required_alignment);
+  static uint64_t Load(uint64_t& word) {
+    return std::atomic_ref<uint64_t>(word).load(std::memory_order_relaxed);
+  }
+  static void Store(uint64_t& word, uint64_t value) {
+    std::atomic_ref<uint64_t>(word).store(value, std::memory_order_relaxed);
+  }
+  struct FreeSlots {
+    void operator()(Slot* slots) const { std::free(slots); }
   };
 
  public:
@@ -53,7 +70,9 @@ class EventRing {
 
   explicit EventRing(size_t capacity)
       : capacity_(capacity == 0 ? 1 : capacity),
-        slots_(std::make_unique<Slot[]>(capacity_)) {}
+        slots_(static_cast<Slot*>(std::calloc(capacity_, sizeof(Slot)))) {
+    if (slots_ == nullptr) throw std::bad_alloc();
+  }
   EventRing(const EventRing&) = delete;
   EventRing& operator=(const EventRing&) = delete;
 
@@ -73,8 +92,8 @@ class EventRing {
     uint64_t words[kWords];
     std::memcpy(words, &record, sizeof(T));
     Slot& slot = slots_[ticket % capacity_];
-    for (size_t i = 0; i < kWords; ++i) slot.words[i].store(words[i]);
-    slot.seq.store(ticket + 1);
+    for (size_t i = 0; i < kWords; ++i) Store(slot.words[i], words[i]);
+    Store(slot.seq, ticket + 1);
   }
 
   size_t capacity() const { return capacity_; }
@@ -92,10 +111,10 @@ class EventRing {
     std::vector<T> out;
     out.reserve(n);
     for (uint64_t t = head - n; t < head; ++t) {
-      const Slot& slot = slots_[t % capacity_];
-      if (slot.seq.load() != t + 1) continue;  // torn by a ring wrap
+      Slot& slot = slots_[t % capacity_];
+      if (Load(slot.seq) != t + 1) continue;  // torn by a ring wrap
       uint64_t words[kWords];
-      for (size_t i = 0; i < kWords; ++i) words[i] = slot.words[i].load();
+      for (size_t i = 0; i < kWords; ++i) words[i] = Load(slot.words[i]);
       T& record = out.emplace_back();
       std::memcpy(&record, words, sizeof(T));
     }
@@ -104,7 +123,7 @@ class EventRing {
 
  private:
   const size_t capacity_;
-  std::unique_ptr<Slot[]> slots_;
+  std::unique_ptr<Slot[], FreeSlots> slots_;
   RelaxedU64 head_;
   Counter* recorded_counter_ = nullptr;
   Counter* dropped_counter_ = nullptr;

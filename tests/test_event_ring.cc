@@ -144,5 +144,27 @@ TEST(EventRing, ZeroCapacityKeepsTheNewestRecord) {
   EXPECT_EQ(ring.dropped(), 2u);
 }
 
+TEST(EventRing, FreshRingIsEmptyAndPartialFillReadsExactlyThePushed) {
+  constexpr size_t kCapacity = 4096;  // the flight recorder's ring size
+  constexpr uint64_t kPushed = 37;
+  for (int round = 0; round < 2; ++round) {
+    // The second ring likely reuses the first one's freed (written) slots:
+    // slot memory must still read as never written.
+    EventRing<TestRecord> ring(kCapacity);
+    EXPECT_TRUE(ring.Snapshot().empty());
+    EXPECT_EQ(ring.recorded(), 0u);
+    PushMany(ring, static_cast<uint64_t>(round), kPushed);
+    const std::vector<TestRecord> records = ring.Snapshot();
+    ASSERT_EQ(records.size(), kPushed);
+    for (uint64_t i = 0; i < kPushed; ++i) {
+      EXPECT_EQ(records[i].writer, static_cast<uint64_t>(round));
+      EXPECT_EQ(records[i].index, i);
+      EXPECT_EQ(records[i].check, Check(records[i].writer, i));
+    }
+    EXPECT_EQ(ring.dropped(), 0u);
+    PushMany(ring, 9, kCapacity);  // fill every slot before the next round
+  }
+}
+
 }  // namespace
 }  // namespace desis::obs

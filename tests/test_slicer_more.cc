@@ -230,6 +230,24 @@ TEST_F(RootAssemblerTest, SlidingWindowsAssembleAcrossEntries) {
   }
 }
 
+TEST_F(RootAssemblerTest, UserDefinedWindowTakesTheSliceSealedOnItsMarker) {
+  // A child whose session opens on the end marker seals the marker event
+  // into a zero-length slice [20, 20]; it belongs to the window ending at
+  // the marker, which is inclusive.
+  Configure(
+      {MakeQuery(1, WindowSpec::UserDefined(), AggregationFunction::kSum)});
+  SliceRecord before = Partial(0, 20, 10.0, 2);
+  before.eps.push_back({0, 0, 20});
+  SliceRecord on_marker = Partial(20, 20, 5.0, 1);
+  on_marker.eps.push_back({0, 0, 20});
+  assembler_->AddPartial(std::move(before));
+  assembler_->AddPartial(std::move(on_marker));
+  assembler_->AdvanceTo(21);
+  ASSERT_EQ(results_.size(), 1u);
+  EXPECT_DOUBLE_EQ(results_[0].value, 15.0);
+  EXPECT_EQ(results_[0].event_count, 3u);
+}
+
 // ------------------------------------------------- randomized sweeps -----
 
 class ClusterEquivalenceSweep : public ::testing::TestWithParam<uint64_t> {};
